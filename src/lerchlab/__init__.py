@@ -49,7 +49,6 @@ from .twisted_space import (
     kubert_1d,
     l_pm_twisted,
     lerch_star_twisted,
-    twisted_from_core,
     zeta_operator_partial,
 )
 from .diff_ops import (

@@ -9,6 +9,7 @@ LERCHLAB_TOL overrides the evaluation target tolerance globally.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -92,7 +93,7 @@ def _cmd_eval(args) -> int:
     s = _parse_complex(args.s)
     cfg = StrategyConfig()
     if args.tol is not None:
-        cfg.target_tol = args.tol
+        cfg = dataclasses.replace(cfg, target_tol=args.tol)
     params = LerchParams(s, args.a, args.c)
     parity = Parity.from_string(args.parity)
     try:
@@ -124,6 +125,9 @@ def _cmd_verify(args) -> int:
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except LerchLabError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return 1
     if not args.quiet:
         for r in records:
             status = "PASS" if r.passed else "FAIL"

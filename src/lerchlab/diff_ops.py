@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,15 @@ from .errors import DomainError, LatticePointError, UnknownRelationError
 from .lerch_core import StrategyConfig, DEFAULT_CONFIG
 from .report import ReportRecord
 from .special_functions import Parity
-from .twisted_space import OperatorKind, OperatorSpec, TwistedFn, l_pm_twisted
+from .twisted_space import (
+    OperatorKind,
+    OperatorSpec,
+    PointFn,
+    TwistedFn,
+    l_pm_twisted,
+    lattice_distance,
+    r_power,
+)
 
 __all__ = [
     "StencilOrder",
@@ -42,8 +49,6 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
-
-PointFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class StencilOrder(enum.Enum):
@@ -139,27 +144,13 @@ _D_BUILDERS = {
 }
 
 
-def _op_R(f: PointFn, power: int) -> PointFn:
-    if power == 0:
-        return f
-    if power == 1:
-        return lambda a, c: np.exp(-TWO_PI_I * a * c) * f(1.0 - c, a)
-    if power == 2:
-        return lambda a, c: np.exp(-TWO_PI_I * a) * f(1.0 - a, 1.0 - c)
-    if power == 3:
-        return lambda a, c: np.exp(-TWO_PI_I * (a * c - c)) * f(c, 1.0 - a)
-    raise DomainError("R power must be in 0..3")
-
-
 def _check_margin(F, a: np.ndarray, c: np.ndarray, cfg: StencilConfig):
     if not isinstance(F, TwistedFn):
         return
     d = F.denominator
     margin = 2.0 * cfg.h * 1.01
     for name, x in (("a", a), ("c", c)):
-        scaled = np.asarray(x) * d
-        dist = np.abs(scaled - np.round(scaled)) / d
-        if np.any(dist <= margin):
+        if np.any(lattice_distance(x, d) <= margin):
             raise LatticePointError(
                 f"{name} within 2h of the 1/{d} lattice; stencil would "
                 f"straddle a discontinuity")
@@ -197,31 +188,31 @@ def _rel_d_plus_d_minus(f, cfg):
 def _rel_d_plus_R(f, cfg):
     dp = _D_BUILDERS[OperatorKind.D_PLUS]
     dm = _D_BUILDERS[OperatorKind.D_MINUS]
-    lhs = dp(_op_R(f, 1), cfg)
-    rhs = _op_R(dm(f, cfg), 1)
+    lhs = dp(r_power(f, 1), cfg)
+    rhs = r_power(dm(f, cfg), 1)
     return lambda a, c: lhs(a, c) + TWO_PI_I * rhs(a, c)
 
 
 def _rel_d_minus_R(f, cfg):
     dp = _D_BUILDERS[OperatorKind.D_PLUS]
     dm = _D_BUILDERS[OperatorKind.D_MINUS]
-    lhs = dm(_op_R(f, 1), cfg)
-    rhs = _op_R(dp(f, cfg), 1)
+    lhs = dm(r_power(f, 1), cfg)
+    rhs = r_power(dp(f, cfg), 1)
     return lambda a, c: lhs(a, c) - rhs(a, c) / TWO_PI_I
 
 
 def _rel_d_L_R(f, cfg):
     dl = _D_BUILDERS[OperatorKind.D_L]
-    lhs = dl(_op_R(f, 1), cfg)
-    rhs = _op_R(dl(f, cfg), 1)
-    rf = _op_R(f, 1)
+    lhs = dl(r_power(f, 1), cfg)
+    rhs = r_power(dl(f, cfg), 1)
+    rf = r_power(f, 1)
     return lambda a, c: lhs(a, c) + rhs(a, c) + rf(a, c)
 
 
 def _rel_d_L_J(f, cfg):
     dl = _D_BUILDERS[OperatorKind.D_L]
-    lhs = dl(_op_R(f, 2), cfg)
-    rhs = _op_R(dl(f, cfg), 2)
+    lhs = dl(r_power(f, 2), cfg)
+    rhs = r_power(dl(f, cfg), 2)
     return lambda a, c: lhs(a, c) - rhs(a, c)
 
 
@@ -258,19 +249,20 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
         raise UnknownRelationError(
             f"no verified relation for ({A.kind.value}, {B.kind.value})")
     name, builder = _RELATIONS[key]
-    start = time.perf_counter()
-    pts = np.asarray(points, dtype=float)
-    a = pts[:, 0]
-    c = pts[:, 1]
-    _check_margin(F, a, c, cfg)
-    resid_fn = builder(_point_fn(F), cfg)
-    residual = float(np.max(np.abs(resid_fn(a, c))))
-    ms = int(1000 * (time.perf_counter() - start))
-    return ReportRecord.from_residual(
+
+    def residual() -> float:
+        pts = np.asarray(points, dtype=float)
+        a = pts[:, 0]
+        c = pts[:, 1]
+        _check_margin(F, a, c, cfg)
+        resid_fn = builder(_point_fn(F), cfg)
+        return float(np.max(np.abs(resid_fn(a, c))))
+
+    return ReportRecord.timed(
         f"commutator:{name}",
         {"A": A.kind.value, "B": B.kind.value, "h": cfg.h,
          "order": cfg.order.value, "points": len(points)},
-        residual, tolerance, ms)
+        tolerance, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +290,23 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
                 raise DomainError(
                     f"L^{parity.value} vanishes identically at s = {s + shift}; "
                     "scan is degenerate at integer s")
-    start = time.perf_counter()
-    pts = np.asarray(samples, dtype=float)
-    a, c = pts[:, 0], pts[:, 1]
-    residual = 0.0
-    flip = {Parity.PLUS: Parity.MINUS, Parity.MINUS: Parity.PLUS}
-    for parity in (Parity.PLUS, Parity.MINUS):
-        Ls = l_pm_twisted(s, parity, eval_cfg)
-        down = l_pm_twisted(s - 1, flip[parity], eval_cfg)
-        up = l_pm_twisted(s + 1, flip[parity], eval_cfg)
-        lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, cfg)
-        raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, cfg)
-        residual = max(residual,
-                       float(np.max(np.abs(lower - down.extend(a, c)))),
-                       float(np.max(np.abs(raise_ + s * up.extend(a, c)))))
-    ms = int(1000 * (time.perf_counter() - start))
-    return ReportRecord.from_residual(
+
+    def residual() -> float:
+        pts = np.asarray(samples, dtype=float)
+        a, c = pts[:, 0], pts[:, 1]
+        worst = 0.0
+        flip = {Parity.PLUS: Parity.MINUS, Parity.MINUS: Parity.PLUS}
+        for parity in (Parity.PLUS, Parity.MINUS):
+            Ls = l_pm_twisted(s, parity, eval_cfg)
+            down = l_pm_twisted(s - 1, flip[parity], eval_cfg)
+            up = l_pm_twisted(s + 1, flip[parity], eval_cfg)
+            lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, cfg)
+            raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, cfg)
+            worst = max(worst,
+                        float(np.max(np.abs(lower - down.extend(a, c)))),
+                        float(np.max(np.abs(raise_ + s * up.extend(a, c)))))
+        return worst
+
+    return ReportRecord.timed(
         "raising_lowering", {"s": s, "h": cfg.h, "points": len(samples)},
-        residual, tolerance, ms)
+        tolerance, residual)

@@ -34,7 +34,7 @@ from .lerch_core import (
 )
 from .quadrature import line_nodes
 from .special_functions import Parity, root_number, tate_gamma
-from .twisted_space import TwistedFn, l_pm_twisted
+from .twisted_space import TwistedFn, apply_R, l_pm_twisted
 
 __all__ = [
     "EigenBasis",
@@ -45,8 +45,6 @@ __all__ = [
     "fourier_slice",
     "characterize",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 _MEMBER_NAMES = ("L+", "L-", "R+", "R-")
 
@@ -76,17 +74,6 @@ class EigenBasis:
         return self.member(self.active_pair[0]), self.member(self.active_pair[1])
 
 
-def _r_basis_twisted(s: complex, parity: Parity,
-                     cfg: StrategyConfig) -> TwistedFn:
-    """R_s^pm(a, c) = e^(-2 pi i a c) L^pm(1-s, 1-c, a) as a TwistedFn."""
-    inner = l_pm_twisted(1.0 - complex(s), parity, cfg)
-
-    def core(a, c):
-        return np.exp(-2j * math.pi * a * c) * inner.extend(1.0 - c, a)
-
-    return TwistedFn(core, 1, f"R{parity.value}({s})")
-
-
 def build_eigenspace(s: complex, cfg: StrategyConfig | None = None) -> EigenBasis:
     """Spanning evaluators at s, with the active pair selected by regime.
 
@@ -109,8 +96,8 @@ def build_eigenspace(s: complex, cfg: StrategyConfig | None = None) -> EigenBasi
         s=s,
         L_plus=l_pm_twisted(s, Parity.PLUS, cfg),
         L_minus=l_pm_twisted(s, Parity.MINUS, cfg),
-        R_plus=_r_basis_twisted(s, Parity.PLUS, cfg),
-        R_minus=_r_basis_twisted(s, Parity.MINUS, cfg),
+        R_plus=apply_R(l_pm_twisted(1 - s, Parity.PLUS, cfg), 1),
+        R_minus=apply_R(l_pm_twisted(1 - s, Parity.MINUS, cfg), 1),
         active_pair=active,
         degenerate=tuple(degenerate),
     )
@@ -375,8 +362,8 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path", N: int = 32,
                 "normalized Fourier coefficients are not piecewise constant; "
                 "F is not in the eigenspace at this s",
                 deviation=max(dev, hecke_res))
-        Rp = _r_basis_twisted(s, Parity.PLUS, cfg)
-        Rm = _r_basis_twisted(s, Parity.MINUS, cfg)
+        Rp = apply_R(l_pm_twisted(1 - s, Parity.PLUS, cfg), 1)
+        Rm = apply_R(l_pm_twisted(1 - s, Parity.MINUS, cfg), 1)
         ca, cb = 0.5 * (A + B), 0.5 * (A - B)
 
         def h_core(aa, cc, _Rp=Rp, _Rm=Rm, _ca=ca, _cb=cb):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,7 +32,7 @@ from .lerch_core import (
     riemann_zeta,
 )
 from .quadrature import QuadratureGrid, unit_square_grid
-from .report import ReportRecord
+from .report import ReportRecord, timed_call
 from .special_functions import Parity, root_number, tate_gamma
 from .twisted_space import (
     OperatorKind,
@@ -42,6 +41,7 @@ from .twisted_space import (
     apply_R,
     apply_hecke,
     kubert_1d,
+    lattice_distance,
     lerch_star_twisted,
     l_pm_twisted,
     zeta_operator_partial,
@@ -60,8 +60,6 @@ __all__ = [
     "load_config",
     "DEFAULT_SUITE_CONFIG",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +98,9 @@ def sample_off_lattice(rng: np.random.Generator, n: int, denominator: int = 1,
     1/denominator lattice (rejection sampling)."""
     out = np.empty(n)
     filled = 0
-    d = denominator
     while filled < n:
         cand = rng.uniform(0.0, 1.0, 2 * (n - filled) + 8)
-        dist = np.abs(cand * d - np.round(cand * d)) / d
-        good = cand[dist > guard / d]
+        good = cand[lattice_distance(cand, denominator) > guard / denominator]
         take = min(good.size, n - filled)
         out[filled:filled + take] = good[:take]
         filled += take
@@ -151,18 +147,20 @@ def adjoint_check(m: int, trials: int, grid: QuadratureGrid | None = None,
     rng = rng or np.random.default_rng(42)
     grid_t = grid or _grid_c_refined(m)
     grid_s = grid or _grid_a_refined(m)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(trials):
-        f = smooth_twisted_fn(rng)
-        g = smooth_twisted_fn(rng)
-        lhs = inner_product(apply_hecke(OperatorKind.T, m, f), g, grid_t)
-        rhs = inner_product(f, apply_hecke(OperatorKind.S, m, g), grid_s)
-        scale = lp_norm(f, grid_t, 2) * lp_norm(g, grid_t, 2)
-        worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
-    ms = int(1000 * (time.perf_counter() - start))
-    return ReportRecord.from_residual(
-        "adjoint:T_m*=S_m", {"m": m, "trials": trials}, worst, tolerance, ms)
+
+    def residual() -> float:
+        worst = 0.0
+        for _ in range(trials):
+            f = smooth_twisted_fn(rng)
+            g = smooth_twisted_fn(rng)
+            lhs = inner_product(apply_hecke(OperatorKind.T, m, f), g, grid_t)
+            rhs = inner_product(f, apply_hecke(OperatorKind.S, m, g), grid_s)
+            scale = lp_norm(f, grid_t, 2) * lp_norm(g, grid_t, 2)
+            worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
+        return worst
+
+    return ReportRecord.timed(
+        "adjoint:T_m*=S_m", {"m": m, "trials": trials}, tolerance, residual)
 
 
 def norm_identity_check(m: int, trials: int,
@@ -174,17 +172,19 @@ def norm_identity_check(m: int, trials: int,
         raise DomainError("norm_identity_check supports m <= 8")
     rng = rng or np.random.default_rng(42)
     grid = grid or _grid_c_refined(m)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(trials):
-        f = smooth_twisted_fn(rng)
-        tn = lp_norm(apply_hecke(OperatorKind.T, m, f), grid, 2)
-        fn = lp_norm(f, grid, 2)
-        worst = max(worst, abs(tn - fn / math.sqrt(m)) / max(fn, 1e-30))
-    ms = int(1000 * (time.perf_counter() - start))
-    return ReportRecord.from_residual(
+
+    def residual() -> float:
+        worst = 0.0
+        for _ in range(trials):
+            f = smooth_twisted_fn(rng)
+            tn = lp_norm(apply_hecke(OperatorKind.T, m, f), grid, 2)
+            fn = lp_norm(f, grid, 2)
+            worst = max(worst, abs(tn - fn / math.sqrt(m)) / max(fn, 1e-30))
+        return worst
+
+    return ReportRecord.timed(
         "norm:||T_m f|| = m^-1/2 ||f||", {"m": m, "trials": trials},
-        worst, tolerance, ms)
+        tolerance, residual)
 
 
 def lp_bound_check(m: int, p: float, trials: int,
@@ -197,30 +197,32 @@ def lp_bound_check(m: int, p: float, trials: int,
     bound on the true sup for both sides).
     """
     rng = rng or np.random.default_rng(42)
-    start = time.perf_counter()
-    worst = 0.0
-    if math.isinf(p):
-        xs = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
-        ys = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
-        grid = None
-    else:
-        grid = unit_square_grid(max(4, 2 * m), 16)
-    for _ in range(trials):
-        f = smooth_twisted_fn(rng)
-        for kind in (OperatorKind.T, OperatorKind.S):
-            tf = apply_hecke(kind, m, f)
-            if grid is None:
-                num = float(np.max(np.abs(tf.extend(xs, ys))))
-                den = float(np.max(np.abs(f.extend(xs, ys))))
-            else:
-                num = lp_norm(tf, grid, p)
-                den = lp_norm(f, grid, p)
-            worst = max(worst, num / max(den, 1e-30) / m - 1.0)
-    ms = int(1000 * (time.perf_counter() - start))
-    return ReportRecord.from_residual(
+
+    def residual() -> float:
+        worst = 0.0
+        if math.isinf(p):
+            xs = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
+            ys = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
+            grid = None
+        else:
+            grid = unit_square_grid(max(4, 2 * m), 16)
+        for _ in range(trials):
+            f = smooth_twisted_fn(rng)
+            for kind in (OperatorKind.T, OperatorKind.S):
+                tf = apply_hecke(kind, m, f)
+                if grid is None:
+                    num = float(np.max(np.abs(tf.extend(xs, ys))))
+                    den = float(np.max(np.abs(f.extend(xs, ys))))
+                else:
+                    num = lp_norm(tf, grid, p)
+                    den = lp_norm(f, grid, p)
+                worst = max(worst, num / max(den, 1e-30) / m - 1.0)
+        return max(worst, 0.0)
+
+    return ReportRecord.timed(
         "lp_bound:||T_m f||_p <= m ||f||_p",
         {"m": m, "p": ("inf" if math.isinf(p) else p), "trials": trials},
-        max(worst, 0.0), 0.0, ms)
+        0.0, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,6 @@ DEFAULT_SUITE_CONFIG: dict = {
     "zeta_op_s": 3.0,
     "zeta_op_points": 10,
     "deterministic_timing": False,
-    "parallel_groups": False,
 }
 
 
@@ -322,14 +323,6 @@ def _rel_resid(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _timed(identity: str, params: dict, tolerance: float,
-           fn: Callable[[], float]) -> ReportRecord:
-    start = time.perf_counter()
-    residual = fn()
-    ms = int(1000 * (time.perf_counter() - start))
-    return ReportRecord.from_residual(identity, params, residual, tolerance, ms)
-
-
 def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
     from .special_functions import complex_gamma
 
@@ -348,8 +341,8 @@ def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
             worst = max(worst, abs(g1.value - z * g0.value) / abs(g1.value))
         return worst
 
-    records.append(_timed("gamma:recurrence", {"samples": 200}, 1e-11,
-                          gamma_recurrence))
+    records.append(ReportRecord.timed(
+        "gamma:recurrence", {"samples": 200}, 1e-11, gamma_recurrence))
 
     def tate_reflection() -> float:
         worst = 0.0
@@ -367,8 +360,8 @@ def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
             count += 1
         return worst
 
-    records.append(_timed("tate_gamma:reflection", {"samples": 200}, 1e-10,
-                          tate_reflection))
+    records.append(ReportRecord.timed("tate_gamma:reflection",
+                                      {"samples": 200}, 1e-10, tate_reflection))
 
     def root_numbers() -> float:
         wp = root_number(Parity.PLUS)
@@ -376,7 +369,8 @@ def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
         return max(abs(wp - 1.0), abs(wm - 1j),
                    abs(wp ** 4 - 1.0), abs(wm ** 4 - 1.0))
 
-    records.append(_timed("root_number:values", {}, 0.0, root_numbers))
+    records.append(ReportRecord.timed("root_number:values",
+                                      {}, 0.0, root_numbers))
     return records
 
 
@@ -388,29 +382,27 @@ def group_functional_equations(cfg: dict,
     n = int(cfg["fe_samples"])
     tol = float(cfg["fe_tol"])
     im_max = float(cfg["fe_im_max"])
-    records = []
-    start = time.perf_counter()
-    worst = {Parity.PLUS: 0.0, Parity.MINUS: 0.0}
+    samples = []
     for i in range(n):
         if i % 2 == 0:
             s = complex(0.5, rng.uniform(-im_max, im_max))
         else:
             s = complex(rng.uniform(0.05, 0.95), rng.uniform(-3, 3))
-        a = rng.uniform(0.05, 0.95)
-        c = rng.uniform(0.05, 0.95)
-        pre = np.exp(-2j * math.pi * a * c)
-        for parity in (Parity.PLUS, Parity.MINUS):
+        samples.append((s, rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)))
+
+    def residual(parity: Parity) -> float:
+        worst = 0.0
+        for s, a, c in samples:
             lhs = completed_L(LerchParams(s, a, c), parity).value
             rhs_inner = completed_L(LerchParams(1 - s, 1 - c, a), parity).value
-            rhs = root_number(parity) * pre * rhs_inner
-            worst[parity] = max(worst[parity], _rel_resid(lhs, rhs))
-    ms = int(1000 * (time.perf_counter() - start))
-    for parity in (Parity.PLUS, Parity.MINUS):
-        records.append(ReportRecord.from_residual(
-            f"functional_equation:L{parity.value}-hat",
-            {"samples": n, "im_max": im_max},
-            worst[parity], tol, ms // 2))
-    return records
+            rhs = root_number(parity) * np.exp(-2j * math.pi * a * c) * rhs_inner
+            worst = max(worst, _rel_resid(lhs, rhs))
+        return worst
+
+    return [ReportRecord.timed(f"functional_equation:L{parity.value}-hat",
+                               {"samples": n, "im_max": im_max}, tol,
+                               lambda parity=parity: residual(parity))
+            for parity in (Parity.PLUS, Parity.MINUS)]
 
 
 def group_hecke_eigen(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
@@ -422,24 +414,25 @@ def group_hecke_eigen(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
     for s in cfg["hecke_s"]:
         s = complex(s)
         basis = build_eigenspace(s)
-        fplus, fminus = basis.active()
-        start = time.perf_counter()
-        worst = 0.0
-        for m in range(2, m_max + 1):
-            # keep sample points and their Hecke preimages off the 1/m grids
-            a = sample_off_lattice(rng, n_pts, m, guard=5e-3)
-            c = sample_off_lattice(rng, n_pts, m, guard=5e-3)
-            eig = np.exp(-s * math.log(m))
-            for F in (fplus, fminus):
-                tmf = apply_hecke(OperatorKind.T, m, F).extend(a, c)
-                fv = F.extend(a, c)
-                worst = max(worst, float(np.max(np.abs(tmf - eig * fv)
-                                                / (1.0 + np.abs(fv)))))
-        ms = int(1000 * (time.perf_counter() - start))
-        records.append(ReportRecord.from_residual(
+
+        def eigen_resid(s=s, basis=basis) -> float:
+            worst = 0.0
+            for m in range(2, m_max + 1):
+                # keep sample points and their Hecke preimages off the 1/m grids
+                a = sample_off_lattice(rng, n_pts, m, guard=5e-3)
+                c = sample_off_lattice(rng, n_pts, m, guard=5e-3)
+                eig = np.exp(-s * math.log(m))
+                for F in basis.active():
+                    tmf = apply_hecke(OperatorKind.T, m, F).extend(a, c)
+                    fv = F.extend(a, c)
+                    worst = max(worst, float(np.max(np.abs(tmf - eig * fv)
+                                                    / (1.0 + np.abs(fv)))))
+            return worst
+
+        records.append(ReportRecord.timed(
             "hecke_eigen:T_m F = m^-s F",
             {"s": s, "m_max": m_max, "points": n_pts, "basis": basis.active_pair},
-            worst, tol, ms))
+            tol, eigen_resid))
     return records
 
 
@@ -471,8 +464,8 @@ def group_operator_algebra(cfg: dict,
                     lhs.extend(a, c) - rhs.extend(a, c)))))
         return worst
 
-    records.append(_timed("algebra:T_m T_n = T_mn",
-                          {"m_max": m_max}, tol, check_t_composition))
+    records.append(ReportRecord.timed(
+        "algebra:T_m T_n = T_mn", {"m_max": m_max}, tol, check_t_composition))
 
     def check_inverse() -> float:
         worst = 0.0
@@ -486,8 +479,8 @@ def group_operator_algebra(cfg: dict,
                         float(np.max(np.abs(ts.extend(a, c) - base / m))))
         return worst
 
-    records.append(_timed("algebra:S_m T_m = T_m S_m = (1/m) I",
-                          {"m_max": m_max}, tol, check_inverse))
+    records.append(ReportRecord.timed("algebra:S_m T_m = T_m S_m = (1/m) I",
+                                      {"m_max": m_max}, tol, check_inverse))
 
     def check_scaled_inverse() -> float:
         worst = 0.0
@@ -501,8 +494,9 @@ def group_operator_algebra(cfg: dict,
                     lhs.extend(a, c) - rhs.extend(a, c) / m))))
         return worst
 
-    records.append(_timed("algebra:S_m T_dm = (1/m) T_d",
-                          {"m_max": 3, "d_max": 3}, tol, check_scaled_inverse))
+    records.append(ReportRecord.timed(
+        "algebra:S_m T_dm = (1/m) T_d",
+        {"m_max": 3, "d_max": 3}, tol, check_scaled_inverse))
 
     def check_family_collapse() -> float:
         worst = 0.0
@@ -517,8 +511,9 @@ def group_operator_algebra(cfg: dict,
                         float(np.max(np.abs(sv.extend(a, c) - s_.extend(a, c)))))
         return worst
 
-    records.append(_timed("algebra:T_vee = T, S_vee = S",
-                          {"m_max": m_max}, tol, check_family_collapse))
+    records.append(ReportRecord.timed(
+        "algebra:T_vee = T, S_vee = S",
+        {"m_max": m_max}, tol, check_family_collapse))
 
     def check_cross_commute() -> float:
         worst = 0.0
@@ -533,8 +528,9 @@ def group_operator_algebra(cfg: dict,
                     lhs.extend(a, c) - rhs.extend(a, c)))))
         return worst
 
-    records.append(_timed("algebra:S_m T_l = T_l S_m",
-                          {"m_max": m_max}, tol, check_cross_commute))
+    records.append(ReportRecord.timed(
+        "algebra:S_m T_l = T_l S_m",
+        {"m_max": m_max}, tol, check_cross_commute))
 
     def check_r_order_four() -> float:
         a, c = sample_points(1)
@@ -546,7 +542,8 @@ def group_operator_algebra(cfg: dict,
         return max(float(np.max(np.abs(g.extend(a, c) - f.extend(a, c)))),
                    float(np.max(np.abs(r2.extend(a, c) - j.extend(a, c)))))
 
-    records.append(_timed("algebra:R^4 = I", {}, tol, check_r_order_four))
+    records.append(ReportRecord.timed("algebra:R^4 = I",
+                                      {}, tol, check_r_order_four))
     return records
 
 
@@ -582,8 +579,8 @@ def group_commutators(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
         # pass iff observed order is ~4 (between 3 and 5.5)
         return 0.0 if 3.0 <= order <= 5.5 else abs(order - 4.0)
 
-    records.append(_timed("commutators:h-halving order ~ 4",
-                          {"h0": 8e-3}, 0.0, convergence_order))
+    records.append(ReportRecord.timed("commutators:h-halving order ~ 4",
+                                      {"h0": 8e-3}, 0.0, convergence_order))
     return records
 
 
@@ -610,7 +607,8 @@ def group_adjoint(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
                             / max(lp_norm(f, grid, p), 1e-30))
         return worst
 
-    records.append(_timed("adjoint:R isometry (p=1,2)", {}, 1e-9, r_isometry))
+    records.append(ReportRecord.timed("adjoint:R isometry (p=1,2)",
+                                      {}, 1e-9, r_isometry))
     return records
 
 
@@ -648,9 +646,9 @@ def group_differential_eigen(cfg: dict,
                     np.abs(delta + (s - 0.5) * fv) / (1.0 + np.abs(fv)))))
             return worst
 
-        records.append(_timed("differential_eigen:D_L F = -s F, Delta_L F = -(s-1/2) F",
-                              {"s": s, "points": n_pts, "h": scfg.h},
-                              tol, eigen_resid))
+        records.append(ReportRecord.timed(
+            "differential_eigen:D_L F = -s F, Delta_L F = -(s-1/2) F",
+            {"s": s, "points": n_pts, "h": scfg.h}, tol, eigen_resid))
     return records
 
 
@@ -676,8 +674,9 @@ def group_eigenspace_structure(cfg: dict,
             # residual formulated so that pass = gap above threshold
             return 0.0 if gap > gap_min else 1.0 / max(gap, 1e-300)
 
-        records.append(_timed("eigenspace:gram rank 2",
-                              {"s": s, "gap_min": gap_min}, 0.0, gram_gap))
+        records.append(ReportRecord.timed(
+            "eigenspace:gram rank 2",
+            {"s": s, "gap_min": gap_min}, 0.0, gram_gap))
 
         def j_resid(s=s, basis=basis) -> float:
             fp, fm = j_split(basis)
@@ -689,8 +688,8 @@ def group_eigenspace_structure(cfg: dict,
                 float(np.max(np.abs(jp.extend(a, c) - fp.extend(a, c)))),
                 float(np.max(np.abs(jm.extend(a, c) + fm.extend(a, c)))))
 
-        records.append(_timed("eigenspace:J F = +- F", {"s": s},
-                              float(cfg["j_tol"]), j_resid))
+        records.append(ReportRecord.timed(
+            "eigenspace:J F = +- F", {"s": s}, float(cfg["j_tol"]), j_resid))
 
         def r_action(s=s, basis=basis) -> float:
             a = rng.uniform(0.05, 0.95, 20)
@@ -706,13 +705,15 @@ def group_eigenspace_structure(cfg: dict,
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             return worst
 
-        records.append(_timed("eigenspace:R L_s = w^-1 gamma(1-s) L_(1-s)",
-                              {"s": s}, float(cfg["r_action_tol"]), r_action))
+        records.append(ReportRecord.timed(
+            "eigenspace:R L_s = w^-1 gamma(1-s) L_(1-s)",
+            {"s": s}, float(cfg["r_action_tol"]), r_action))
 
-        records.append(_timed("eigenspace:L = w gamma(1-s) R dependency",
-                              {"s": s}, float(cfg["r_action_tol"]),
-                              lambda s=s, basis=basis: dependency_residual(
-                                  basis, rng.uniform(0.1, 0.9, (15, 2)))))
+        records.append(ReportRecord.timed(
+            "eigenspace:L = w gamma(1-s) R dependency",
+            {"s": s}, float(cfg["r_action_tol"]),
+            lambda basis=basis: dependency_residual(
+                basis, rng.uniform(0.1, 0.9, (15, 2)))))
     return records
 
 
@@ -726,9 +727,7 @@ def group_characterization(cfg: dict,
     for s in cfg["char_s"]:
         s = complex(s)
         F = lerch_star_twisted(s)
-        start = time.perf_counter()
-        result = characterize(F, s, "a_path")
-        ms = int(1000 * (time.perf_counter() - start))
+        result, ms = timed_call(lambda: characterize(F, s, "a_path"))
         records.append(ReportRecord.from_residual(
             "characterize:zeta* -> (A,B)=(1,0)",
             {"s": s, "A": result.A, "B": result.B},
@@ -747,8 +746,9 @@ def group_characterization(cfg: dict,
             return 0.0
         return 1.0
 
-    records.append(_timed("characterize:untwisted c^-s rejected",
-                          {"s": cfg["char_s"][0]}, 0.0, counterexample))
+    records.append(ReportRecord.timed(
+        "characterize:untwisted c^-s rejected",
+        {"s": cfg["char_s"][0]}, 0.0, counterexample))
     return records
 
 
@@ -792,8 +792,9 @@ def group_milnor_baseline(cfg: dict,
                         float(np.max(np.abs(odd(1 - xs) + odd(xs)))))
             return worst
 
-        records.append(_timed("milnor:Kubert eigenfunctions (Hurwitz basis)",
-                              {"s": s, "m_max": m_max}, tol, kubert_resid))
+        records.append(ReportRecord.timed(
+            "milnor:Kubert eigenfunctions (Hurwitz basis)",
+            {"s": s, "m_max": m_max}, tol, kubert_resid))
     return records
 
 
@@ -803,7 +804,7 @@ def _dilation_noise(c: float, M: int, sigma: float) -> float:
     analytic cancellation leaves eps-level residue."""
     eps = 2.3e-16
     m = np.arange(1, M + 1, dtype=float)
-    dist = np.abs(m * c - np.round(m * c))
+    dist = lattice_distance(m * c, 1)
     return float(np.sum(16.0 * eps * np.sqrt(m) * dist ** (-sigma)))
 
 
@@ -822,7 +823,7 @@ def group_zeta_operator(cfg: dict, rng: np.random.Generator) -> list[ReportRecor
         while True:
             c = rng.uniform(0.1, 0.9)
             m = np.arange(1, M + 1, dtype=float)
-            if np.min(np.abs(m * c - np.round(m * c))) > 2e-3:
+            if np.min(lattice_distance(m * c, 1)) > 2e-3:
                 return c
 
     def resid() -> float:
@@ -841,8 +842,8 @@ def group_zeta_operator(cfg: dict, rng: np.random.Generator) -> list[ReportRecor
         # ratio <= 1 means within the stated bound
         return max(0.0, worst - 1.0)
 
-    return [_timed("zeta_operator:partial sums within tail bound",
-                   {"M": M, "s": s, "points": n_pts}, 0.0, resid)]
+    return [ReportRecord.timed("zeta_operator:partial sums within tail bound",
+                               {"M": M, "s": s, "points": n_pts}, 0.0, resid)]
 
 
 CHECK_GROUPS: dict[str, Callable[[dict, np.random.Generator],
@@ -888,21 +889,12 @@ def run_suite(config_path: str | Path | None = None,
     if unknown:
         raise DomainError(f"unknown check groups: {unknown}")
 
-    def run_group(name: str) -> list[ReportRecord]:
-        # every group draws from its own identically-seeded stream, so
-        # results do not depend on selection or scheduling order
-        return CHECK_GROUPS[name](cfg, np.random.default_rng(int(cfg["seed"])))
-
     records: list[ReportRecord] = []
-    if cfg["parallel_groups"] and len(cfg["groups"]) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for chunk in pool.map(run_group, cfg["groups"]):
-                records.extend(chunk)
-    else:
-        for name in cfg["groups"]:
-            records.extend(run_group(name))
+    for name in cfg["groups"]:
+        # every group draws from its own identically-seeded stream, so
+        # results do not depend on which groups are selected
+        rng = np.random.default_rng(int(cfg["seed"]))
+        records.extend(CHECK_GROUPS[name](cfg, rng))
     if cfg["deterministic_timing"]:
         for r in records:
             r.runtime_ms = 0

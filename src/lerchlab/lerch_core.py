@@ -119,7 +119,7 @@ def _env_tol(default: float) -> float:
         raise DomainError(f"LERCHLAB_TOL is not a number: {raw!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
     """Evaluation thresholds and budgets.
 

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Any, Callable
+
+
+def timed_call(fn: Callable[[], Any]) -> tuple[Any, int]:
+    """Run fn(); return its result and its wall time in whole milliseconds."""
+    start = time.perf_counter()
+    result = fn()
+    return result, int(1000 * (time.perf_counter() - start))
 
 
 @dataclass
 class ReportRecord:
-    """One verification outcome; ``passed`` is always residual <= tolerance."""
+    """One verification outcome; ``passed`` is always residual <= tolerance.
+
+    ``runtime_ms`` is the measured wall time of this record's own check.
+    """
 
     identity: str
     params: dict = field(default_factory=dict)
@@ -23,6 +35,13 @@ class ReportRecord:
                    tolerance=float(tolerance),
                    passed=bool(residual <= tolerance),
                    runtime_ms=int(runtime_ms))
+
+    @classmethod
+    def timed(cls, identity: str, params: dict, tolerance: float,
+              residual_fn: Callable[[], float]) -> "ReportRecord":
+        """Record the residual that residual_fn() returns, timed."""
+        residual, ms = timed_call(residual_fn)
+        return cls.from_residual(identity, params, residual, tolerance, ms)
 
     def to_dict(self) -> dict:
         return {

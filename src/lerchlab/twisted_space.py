@@ -41,7 +41,6 @@ __all__ = [
     "TwistedFn",
     "OperatorKind",
     "OperatorSpec",
-    "twisted_from_core",
     "lerch_star_twisted",
     "l_pm_twisted",
     "apply_hecke",
@@ -52,7 +51,14 @@ __all__ = [
 ]
 
 GRID_TOL = 1e-13
-TWO_PI = 2.0 * math.pi
+
+PointFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def lattice_distance(x, denominator: int) -> np.ndarray:
+    """Distance of each x from the discontinuity lattice (1/denominator)Z."""
+    scaled = np.asarray(x, dtype=float) * denominator
+    return np.abs(scaled - np.round(scaled)) / denominator
 
 
 class OperatorKind(enum.Enum):
@@ -124,8 +130,7 @@ class TwistedFn:
     def _check_off_grid(self, a: np.ndarray, c: np.ndarray):
         d = self.denominator
         for name, x in (("a", a), ("c", c)):
-            scaled = x * d
-            dist = np.abs(scaled - np.round(scaled)) / d
+            dist = lattice_distance(x, d)
             if np.any(dist <= GRID_TOL):
                 bad = np.asarray(x).ravel()[np.argmin(dist.ravel())]
                 raise LatticePointError(
@@ -157,11 +162,6 @@ class TwistedFn:
 
     def __call__(self, a, c):
         return self.extend(a, c)
-
-
-def twisted_from_core(core, denominator: int = 1, label: str = "") -> TwistedFn:
-    """Wrap a vectorized evaluator on the open unit square."""
-    return TwistedFn(core, denominator, label)
 
 
 def lerch_star_twisted(s: complex, cfg: StrategyConfig | None = None,
@@ -232,24 +232,27 @@ def apply_hecke(kind: OperatorKind, m: int, F: TwistedFn) -> TwistedFn:
 # R-operator powers
 # ---------------------------------------------------------------------------
 
+def r_power(f: PointFn, power: int) -> PointFn:
+    """R^power f for a point function f(a, c), where
+    R f(a,c) = e^(-2 pi i a c) f(1-c, a); power 2 is the reflection
+    involution J and power 0 the identity."""
+    if power == 0:
+        return f
+    if power == 1:
+        return lambda a, c: np.exp(-2j * math.pi * a * c) * f(1.0 - c, a)
+    if power == 2:
+        return lambda a, c: np.exp(-2j * math.pi * a) * f(1.0 - a, 1.0 - c)
+    if power == 3:
+        return lambda a, c: np.exp(-2j * math.pi * (a * c - c)) * f(c, 1.0 - a)
+    raise DomainError("R power must be in 0..3")
+
+
 def apply_R(F: TwistedFn, power: int = 1) -> TwistedFn:
-    """Powers of R f(a,c) = e^(-2 pi i a c) f(1-c, a); power 2 is the
-    reflection involution J and power 0 the identity."""
-    if not 0 <= power <= 3:
-        raise DomainError("R power must be in 0..3")
+    """Powers of R as TwistedFns; the denominator is unchanged."""
     if power == 0:
         return F
-    if power == 1:
-        def core(a, c, _F=F):
-            return np.exp(-2j * math.pi * a * c) * _F.extend(1.0 - c, a)
-    elif power == 2:
-        def core(a, c, _F=F):
-            return np.exp(-2j * math.pi * a) * _F.extend(1.0 - a, 1.0 - c)
-    else:
-        def core(a, c, _F=F):
-            return (np.exp(-2j * math.pi * (a * c - c))
-                    * _F.extend(c, 1.0 - a))
-    return TwistedFn(core, F.denominator, f"R^{power}({F.label})")
+    return TwistedFn(r_power(F.extend, power), F.denominator,
+                     f"R^{power}({F.label})")
 
 
 def apply_functional(spec: OperatorSpec, F: TwistedFn) -> TwistedFn:

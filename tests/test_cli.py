@@ -83,6 +83,19 @@ class TestVerify:
         assert code == 2
         assert "config error" in err
 
+    def test_evaluation_failure_is_exit_1_without_traceback(self, tmp_path,
+                                                             capsys):
+        # seed 51 samples a critical-line point where Levin acceleration
+        # fails to stabilise
+        code, _, err = run_cli(capsys, "verify", "--group",
+                               "functional_equations", "--seed", "51",
+                               "--json-out", str(tmp_path / "r.json"),
+                               "--csv-out", str(tmp_path / "r.csv"))
+        assert code == 1
+        assert err.startswith("evaluation error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestReport:
     def test_rerender(self, tmp_path, capsys):

@@ -16,16 +16,16 @@ from lerchlab.harness import (
     smooth_twisted_fn,
     write_csv,
 )
-from lerchlab.twisted_space import twisted_from_core
+from lerchlab.twisted_space import TwistedFn
 
 
 def const_one():
-    return twisted_from_core(
+    return TwistedFn(
         lambda a, c: np.ones_like(np.asarray(a, dtype=complex)), 1, "1")
 
 
 def char_a():
-    return twisted_from_core(
+    return TwistedFn(
         lambda a, c: np.exp(2j * np.pi * a), 1, "e(a)")
 
 
@@ -173,8 +173,10 @@ class TestRunSuite:
         assert code == 1
         assert any(not r.passed for r in records)
 
-    def test_deterministic_reports_byte_identical(self, tmp_path):
-        kw = dict(groups=["special_fns"], seed=42, deterministic_timing=True)
+    @pytest.mark.parametrize(
+        "group", ["special_fns", "commutators", "eigenspace_structure"])
+    def test_deterministic_reports_byte_identical(self, tmp_path, group):
+        kw = dict(groups=[group], seed=42, deterministic_timing=True)
         run_suite(json_path=tmp_path / "a.json", **kw)
         run_suite(json_path=tmp_path / "b.json", **kw)
         assert (tmp_path / "a.json").read_bytes() == \
@@ -203,17 +205,3 @@ class TestGoldenSuite:
         assert [r.identity for r in records] == golden
         assert all(r.passed for r in records)
 
-
-class TestParallelGroups:
-    def test_parallel_matches_sequential(self, tmp_path):
-        import pathlib
-
-        cfg = tmp_path / "par.cfg"
-        cfg.write_text("groups = special_fns, milnor_baseline\n"
-                       "parallel_groups = true\n")
-        code_p, rec_p = run_suite(config_path=cfg,
-                                  deterministic_timing=True)
-        code_s, rec_s = run_suite(groups=["special_fns", "milnor_baseline"],
-                                  deterministic_timing=True)
-        assert code_p == code_s == 0
-        assert [r.to_dict() for r in rec_p] == [r.to_dict() for r in rec_s]

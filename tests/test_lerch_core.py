@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lerchlab import (
+    DEFAULT_CONFIG,
     DegenerateParameterError,
     DomainError,
     L_pm,
@@ -340,6 +342,10 @@ class TestStrategyDispatch:
             StrategyConfig(sigma_hi=-1.0, sigma_lo=0.0)
         with pytest.raises(DomainError):
             StrategyConfig(max_terms=10)
+
+    def test_default_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_CONFIG.target_tol = 1e-3
 
     def test_env_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("LERCHLAB_TOL", "1e-9")

@@ -9,6 +9,7 @@ from lerchlab import (
     OperatorKind,
     OperatorSpec,
     Parity,
+    TwistedFn,
     apply_R,
     apply_hecke,
     dilation_1d,
@@ -17,7 +18,6 @@ from lerchlab import (
     l_pm_twisted,
     lerch_star_twisted,
     riemann_zeta,
-    twisted_from_core,
     zeta_operator_partial,
 )
 from lerchlab.twisted_space import apply_functional
@@ -33,7 +33,7 @@ def poly_core(a, c):
 
 @pytest.fixture
 def F():
-    return twisted_from_core(poly_core, 1, "poly")
+    return TwistedFn(poly_core, 1, "poly")
 
 
 class TestExtend:
