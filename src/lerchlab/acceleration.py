@@ -1,11 +1,21 @@
 """Sequence acceleration for oscillatory series, vectorized over points.
 
 The workhorse is the Levin u-transform applied to the partial sums of a
-tail sum_{n>=0} t_n.  The transform table is built column-by-column with
-the standard two-term recursion; both numerator and denominator rows are
-kept so the estimate at order k is num[0]/den[0] after k updates.
+tail sum_{n>=0} t_n.  Row j of the transform table holds the numerator
+and denominator of E(k, j), the order-k transform started at term j, for
+the highest k reached so far: the table is one anti-diagonal
+j + k = n.  Each new term n extends it by the two-term recursion
 
-All arrays carry a trailing "points" axis so a whole grid of series (one
+    E(k, j) = E(k-1, j+1) - f(k, j) E(k-1, j),
+
+so the estimate at order n is num/den of row 0 after term n.  Terms come
+in blocks of up to 8 (fewer on wide batches, one from 2048 points up):
+the block's terms are generated in one call, and each level k updates
+every row of the block in one vectorized op on the stacked numerator and
+denominator.  Every element sees the same arithmetic as a term-by-term
+sweep, so results do not depend on the block size.
+
+All arrays carry trailing "points" axes so a whole grid of series (one
 per evaluation point) is accelerated in a single pass.  Convergence is
 tracked per point through the stabilization of successive transform
 orders; the returned error estimate is a small safety multiple of the last
@@ -14,6 +24,8 @@ two differences.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -24,6 +36,12 @@ __all__ = ["levin_sum", "LevinResult"]
 
 _SAFETY = 8.0
 _TINY = 1e-300
+# a block holds _BLOCK_TERMS terms, cut so that it holds at most
+# _BLOCK_VALUES point values: from 2048 points up it is one term
+_BLOCK_TERMS = 8
+_BLOCK_VALUES = 2048
+# table rows allocated up front; the table doubles when the orders pass it
+_FIRST_ROWS = 32
 
 
 class LevinResult:
@@ -37,23 +55,48 @@ class LevinResult:
         self.orders = orders
 
 
+@functools.lru_cache(maxsize=8)
+def _factors(max_order: int, beta: float) -> np.ndarray:
+    """Read-only table f[k, j] of the recursion factors, k >= 1."""
+    table = np.zeros((max_order, max_order))
+    for k in range(1, max_order):
+        for j in range(max_order - k):
+            if k == 1:
+                factor = 1.0
+            else:
+                base = (beta + j + k - 1.0) / (beta + j + k)
+                factor = (beta + j) / (beta + j + k) * base ** (k - 2)
+            table[k, j] = factor
+    table.setflags(write=False)
+    return table
+
+
 def levin_sum(
-    term_fn: Callable[[int], np.ndarray],
+    term_fn: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, ...],
     tol: float,
     max_order: int = 80,
     beta: float = 1.0,
     min_order: int = 6,
 ) -> LevinResult:
-    """Accelerate sum_{n>=0} term_fn(n) with the Levin u-transform.
+    """Accelerate sum_{n>=0} t_n with the Levin u-transform.
 
-    ``term_fn(n)`` must return the n-th term as an array of ``shape``.
+    ``term_fn(idx)`` gets a 1-d integer array of term indices and must
+    return the terms t_idx as an array of shape ``idx.shape + shape``.
     Raises :class:`AccelerationFailureError` when the worst point fails to
     stabilize below ``tol`` within ``max_order`` terms; the partially
     converged value and estimate ride along on the exception.
     """
-    num = np.zeros((max_order,) + shape, dtype=np.complex128)
-    den = np.zeros((max_order,) + shape, dtype=np.complex128)
+    block = max(1, min(_BLOCK_TERMS, _BLOCK_VALUES // max(1, math.prod(shape))))
+    factors = _factors(max_order, beta)
+    per_term = (-1,) + (1,) * len(shape)   # broadcast over a block's terms
+    per_row = per_term + (1,)              # ... and over (num, den) rows
+    # table[j] = (numerator, denominator) of E(n - j, j) after term n; a
+    # row is written when its term arrives, before any level reads it.
+    # Rows are allocated as the orders grow, since most sums stop early.
+    table = np.empty((min(max_order, _FIRST_ROWS), 2) + shape, dtype=np.complex128)
+    work = np.empty((block, 2) + shape, dtype=np.complex128)
+    row0 = np.empty((block, 2) + shape, dtype=np.complex128)
     partial = np.zeros(shape, dtype=np.complex128)
 
     best = np.zeros(shape, dtype=np.complex128)
@@ -61,36 +104,52 @@ def levin_sum(
     prev1 = None
     prev2 = None
 
-    for n in range(max_order):
-        t_n = np.asarray(term_fn(n), dtype=np.complex128)
-        partial = partial + t_n
-        omega = (beta + n) * t_n
+    for n0 in range(0, max_order, block):
+        n1 = min(n0 + block, max_order)
+        if n1 > len(table):
+            grown = np.empty((min(max_order, 2 * len(table)),) + table.shape[1:],
+                             dtype=np.complex128)
+            grown[:n0] = table[:n0]
+            table = grown
+        idx = np.arange(n0, n1)
+        terms = np.asarray(term_fn(idx), dtype=np.complex128)
+        sums = np.empty_like(terms)
+        for i, t_n in enumerate(terms):
+            partial = np.add(partial, t_n, out=sums[i, ...])
+        omega = (beta + idx).reshape(per_term) * terms
         omega = np.where(np.abs(omega) < _TINY, _TINY, omega)
-        num[n] = partial / omega
-        den[n] = 1.0 / omega
-        for k in range(1, n + 1):
-            j = n - k
-            if k == 1:
-                factor = 1.0
-            else:
-                base = (beta + j + k - 1.0) / (beta + j + k)
-                factor = (beta + j) / (beta + j + k) * base ** (k - 2)
-            num[j] = num[j + 1] - factor * num[j]
-            den[j] = den[j + 1] - factor * den[j]
-        if n < 2:
+        table[n0:n1, 0] = sums / omega
+        table[n0:n1, 1] = 1.0 / omega
+        # level k moves rows lo..hi-1 from E(k-1, j) to E(k, j); the
+        # right-hand side reads only rows the level has not written yet
+        for k in range(1, n1):
+            lo = max(0, n0 - k)
+            hi = n1 - k
+            rows = table[lo:hi]
+            scaled = work[:hi - lo]
+            np.multiply(factors[k, lo:hi].reshape(per_row), rows, out=scaled)
+            np.subtract(table[lo + 1:hi + 1], scaled, out=rows)
+            if k >= n0:
+                row0[k - n0] = table[0]   # E(k, 0): the order-k estimate
+
+        # the stopping rule, one order at a time, from order 2 on
+        first = max(n0, 2)
+        if first >= n1:
             continue
-        d0 = np.where(np.abs(den[0]) < _TINY, _TINY, den[0])
-        val = num[0] / d0
-        if prev1 is not None and prev2 is not None:
-            step = np.maximum(np.abs(val - prev1), np.abs(prev1 - prev2))
-            est = _SAFETY * step + 1e-16 * np.abs(val)
-            improved = est < err
-            best = np.where(improved, val, best)
-            err = np.where(improved, est, err)
-            if n >= min_order and err.max() <= tol:
-                return LevinResult(best, err, n + 1)
-        prev2 = prev1
-        prev1 = val
+        den0 = row0[first - n0:n1 - n0, 1]
+        d0 = np.where(np.abs(den0) < _TINY, _TINY, den0)
+        vals = row0[first - n0:n1 - n0, 0] / d0
+        for n, val in zip(range(first, n1), vals):
+            if prev1 is not None and prev2 is not None:
+                step = np.maximum(np.abs(val - prev1), np.abs(prev1 - prev2))
+                est = _SAFETY * step + 1e-16 * np.abs(val)
+                improved = est < err
+                best = np.where(improved, val, best)
+                err = np.where(improved, est, err)
+                if n >= min_order and err.max() <= tol:
+                    return LevinResult(best, err, n + 1)
+            prev2 = prev1
+            prev1 = val
 
     raise AccelerationFailureError(
         f"Levin transform did not stabilize below {tol:g} within "

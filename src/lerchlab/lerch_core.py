@@ -308,17 +308,20 @@ def _phi_small_a(s: complex, a_off: np.ndarray, c: np.ndarray, tol: float):
 
 def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
                max_order: int = 90, head: int = 8):
-    """Levin-accelerated one-sided sum for well-separated a."""
-    n_head = np.arange(head)[:, None]
-    phase = np.exp(2j * math.pi * np.mod(n_head * a[None, :], 1.0))
-    head_sum = np.sum(phase * (n_head + c[None, :]) ** (-s), axis=0)
+    """Levin-accelerated one-sided sum for well-separated a.
 
-    def term(n):
-        idx = head + n
-        ph = np.exp(2j * math.pi * np.mod(idx * a, 1.0))
-        return ph * (idx + c) ** (-s)
+    The first ``head`` terms are summed directly; Levin takes the rest.
+    """
+    def terms(idx):
+        n = idx[:, None]
+        # a named phase keeps numpy from multiplying into the temporary in
+        # place, which on large blocks changes the product's last bits
+        phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
+        return phase * (n + c) ** (-s)
 
-    res = levin_sum(term, a.shape, tol, max_order=max_order)
+    head_sum = np.sum(terms(np.arange(head)), axis=0)
+    res = levin_sum(lambda idx: terms(head + idx), a.shape, tol,
+                    max_order=max_order)
     return head_sum + res.value, res.error + 1e-16 * np.abs(head_sum)
 
 
@@ -533,10 +536,13 @@ def zeta_direct(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult
                       Strategy.DIRECT_SERIES)
 
 
-def _direct_is_cheap(sigma: float, c: float, cfg: StrategyConfig) -> bool:
-    if sigma <= 1.0:
+def _direct_is_cheap(p: LerchParams, cfg: StrategyConfig) -> bool:
+    """Whether plain summation at (s, a, c) is the dispatch choice:
+    non-integer a, Re(s) >= sigma_hi, and a tail bound within reach."""
+    sigma = complex(p.s).real
+    if p.a_integral or sigma < cfg.sigma_hi or sigma <= 1.0:
         return False
-    needed = ((sigma - 1.0) * cfg.target_tol) ** (-1.0 / (sigma - 1.0)) + 1.0 - c
+    needed = ((sigma - 1.0) * cfg.target_tol) ** (-1.0 / (sigma - 1.0)) + 1.0 - p.c
     return needed <= cfg.direct_cheap_terms
 
 
@@ -555,8 +561,7 @@ def lerch_star(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
         raise DegenerateParameterError("simple pole at s = 1 on integer lines")
     a = np.array([p.a], dtype=float)
     c = np.array([p.c], dtype=float)
-    if (not p.a_integral) and s.real >= cfg.sigma_hi \
-            and _direct_is_cheap(s.real, p.c, cfg):
+    if _direct_is_cheap(p, cfg):
         a_red, c_red, phase = _reduce_to_cell(a, c)
         inner = zeta_direct(LerchParams(s, float(a_red[0]), float(c_red[0])), cfg)
         return EvalResult(complex(phase[0]) * inner.value, inner.error_estimate,
@@ -585,17 +590,25 @@ def lerch_star_many(s: complex, a, c, cfg: StrategyConfig | None = None,
 def lerch_zeta(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
     """The one-sided function zeta(s, a, c) = sum_{n>=0} e^(2 pi i n a)(n+c)^(-s).
 
-    Requires c > 0.  Coincides with zeta_star for 0 < c <= 1; for larger c
-    the extended function picks up the finitely many n < 0 terms with
-    n + c > 0, which are subtracted off here.
+    Requires c > 0.  Coincides with zeta_star for 0 < c <= 1.  For larger
+    c and Re(s) > sigma_lo the series is summed at c itself.  At or below
+    sigma_lo zeta_star is reflected, and the finitely many n < 0 terms with
+    n + c > 0 that the extended function picks up are subtracted off.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p.c <= 0.0:
         raise DomainError("lerch_zeta requires c > 0")
-    base = lerch_star(p, cfg)
     K = math.ceil(p.c) - 1
     if K <= 0:
-        return base
+        return lerch_star(p, cfg)
+    s = complex(p.s)
+    if s.real > cfg.sigma_lo:
+        if _direct_is_cheap(p, cfg):
+            return zeta_direct(p, cfg)
+        v, e = _phi_dispatch(s, np.array([p.a]), np.array([p.c]), cfg,
+                             cfg.target_tol)
+        return EvalResult(complex(v[0]), float(e[0]), Strategy.ACCELERATED)
+    base = lerch_star(p, cfg)
     n = -np.arange(1, K + 1)
     extra = np.sum(np.exp(2j * math.pi * n * p.a)
                    * np.abs(n + p.c) ** (-complex(p.s)))

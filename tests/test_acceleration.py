@@ -1,0 +1,216 @@
+"""The blocked Levin kernel against the term-by-term sweep it replaced.
+
+``levin_oracle`` is the per-order recursion, one term and one table row
+per numpy call.  The blocked kernel does the same arithmetic on every
+element, so values, error estimates, orders and failure payloads must
+match it bit for bit, at every batch width and block size.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lerchlab import lerch_core
+from lerchlab.acceleration import levin_sum
+from lerchlab.errors import AccelerationFailureError
+
+_SAFETY = 8.0
+_TINY = 1e-300
+HEAD = 8
+
+
+def levin_oracle(term_fn, shape, tol, max_order=80, beta=1.0, min_order=6):
+    """Levin u-transform, term by term; ``term_fn(n)`` gives term n."""
+    num = np.zeros((max_order,) + shape, dtype=np.complex128)
+    den = np.zeros((max_order,) + shape, dtype=np.complex128)
+    partial = np.zeros(shape, dtype=np.complex128)
+
+    best = np.zeros(shape, dtype=np.complex128)
+    err = np.full(shape, np.inf)
+    prev1 = None
+    prev2 = None
+
+    for n in range(max_order):
+        t_n = np.asarray(term_fn(n), dtype=np.complex128)
+        partial = partial + t_n
+        omega = (beta + n) * t_n
+        omega = np.where(np.abs(omega) < _TINY, _TINY, omega)
+        num[n] = partial / omega
+        den[n] = 1.0 / omega
+        for k in range(1, n + 1):
+            j = n - k
+            if k == 1:
+                factor = 1.0
+            else:
+                base = (beta + j + k - 1.0) / (beta + j + k)
+                factor = (beta + j) / (beta + j + k) * base ** (k - 2)
+            num[j] = num[j + 1] - factor * num[j]
+            den[j] = den[j + 1] - factor * den[j]
+        if n < 2:
+            continue
+        d0 = np.where(np.abs(den[0]) < _TINY, _TINY, den[0])
+        val = num[0] / d0
+        if prev1 is not None and prev2 is not None:
+            step = np.maximum(np.abs(val - prev1), np.abs(prev1 - prev2))
+            est = _SAFETY * step + 1e-16 * np.abs(val)
+            improved = est < err
+            best = np.where(improved, val, best)
+            err = np.where(improved, est, err)
+            if n >= min_order and err.max() <= tol:
+                return best, err, n + 1
+        prev2 = prev1
+        prev1 = val
+
+    raise AccelerationFailureError(
+        f"Levin transform did not stabilize below {tol:g} within "
+        f"{max_order} terms (worst estimate {err.max():g})",
+        value=best,
+        error_estimate=err,
+    )
+
+
+def lerch_tail(s, a, c):
+    """Term n of sum_{n>=HEAD} e^(2 pi i n a)(n+c)^(-s), one n at a time."""
+    def term(n):
+        idx = HEAD + n
+        ph = np.exp(2j * math.pi * np.mod(idx * a, 1.0))
+        return ph * (idx + c) ** (-s)
+    return term
+
+
+def lerch_tail_block(s, a, c):
+    """The same terms for an index array, one (len(idx), points) block."""
+    def terms(idx):
+        n = HEAD + idx[:, None]
+        phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
+        return phase * (n + c) ** (-s)
+    return terms
+
+
+def outcome(fn):
+    """(value, error, orders) of a run, or its failure message and payload."""
+    try:
+        return "ok", fn()
+    except AccelerationFailureError as exc:
+        return "raised", (str(exc), exc.value, exc.error_estimate)
+
+
+def assert_bit_identical(got, want):
+    assert got[0] == want[0]
+    for x, y in zip(got[1], want[1]):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
+def run_both(s, a, c, shape, tol=1e-12, max_order=90):
+    """Outcome of the blocked kernel, checked against the oracle's."""
+    def blocked():
+        res = levin_sum(lerch_tail_block(s, a, c), shape, tol,
+                        max_order=max_order)
+        return res.value, res.error, res.orders
+    got = outcome(blocked)
+    want = outcome(lambda: levin_oracle(lerch_tail(s, a, c), shape, tol,
+                                        max_order=max_order))
+    assert_bit_identical(got, want)
+    return got
+
+
+def random_batch(seed, width):
+    """s in the strip with |Im s| <= 60, a in the band Levin gets at m = 1."""
+    rng = np.random.default_rng(seed)
+    s = complex(rng.uniform(-0.5, 1.5), rng.uniform(-60.0, 60.0))
+    a = rng.uniform(0.36, 0.64, width)
+    c = rng.uniform(0.05, 1.0, width)
+    return s, a, c
+
+
+# block sizes 8, 8, 8, 1, 1, 1; the seeds give converging and failing batches
+WIDTHS = (1, 3, 64, 2047, 2048, 4096)
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_batch(self, width, seed):
+        s, a, c = random_batch(1000 * width + seed, width)
+        run_both(s, a, c, (width,))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_failure_payload(self, width):
+        # at Im s = 60, a below 0.35 does not stabilize within 90 terms
+        rng = np.random.default_rng(width)
+        a = rng.uniform(0.05, 0.35, width)
+        c = rng.uniform(0.05, 1.0, width)
+        assert run_both(0.5 + 60j, a, c, (width,))[0] == "raised"
+
+    def test_orders_past_first_table_rows(self):
+        kind, (_, _, orders) = run_both(0.5 + 60j, np.array([0.5]),
+                                        np.array([0.4]), (1,))
+        assert kind == "ok" and orders > 32
+
+    def test_multidimensional_points(self):
+        rng = np.random.default_rng(7)
+        s = 0.8 + 4j
+        a = rng.uniform(0.3, 0.7, (2, 3))
+        c = rng.uniform(0.05, 1.0, (2, 3))
+
+        def terms(idx):
+            n = HEAD + idx[:, None, None]
+            phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
+            return phase * (n + c) ** (-s)
+
+        res = levin_sum(terms, (2, 3), 1e-12, max_order=90)
+        want = levin_oracle(lerch_tail(s, a, c), (2, 3), 1e-12, max_order=90)
+        assert_bit_identical(("ok", (res.value, res.error, res.orders)),
+                             ("ok", want))
+
+
+class TestPhiLevin:
+    @pytest.mark.parametrize("width", (1, 64, 4096))
+    def test_head_and_tail_unchanged(self, width):
+        # from 2048 points up numpy reuses temporaries of the 8-term head in
+        # place, which would change the head's bits without a named phase
+        rng = np.random.default_rng(width)
+        s = complex(0.7, rng.uniform(-6.0, 6.0))
+        a = rng.uniform(0.36, 0.64, width)
+        c = rng.uniform(0.05, 1.0, width)
+        n_head = np.arange(HEAD)[:, None]
+        phase = np.exp(2j * math.pi * np.mod(n_head * a[None, :], 1.0))
+        head_sum = np.sum(phase * (n_head + c[None, :]) ** (-s), axis=0)
+        best, err, _ = levin_oracle(lerch_tail(s, a, c), a.shape, 1e-12,
+                                    max_order=90)
+        want_v = head_sum + best
+        want_e = err + 1e-16 * np.abs(head_sum)
+        got_v, got_e = lerch_core._phi_levin(s, a, c, 1e-12, max_order=90)
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_e.tobytes() == want_e.tobytes()
+
+
+class TestKnownSums:
+    def test_alternating_harmonic_is_log_2(self):
+        res = levin_sum(lambda n: (-1.0) ** n / (n + 1.0), (), 1e-13)
+        assert res.value.shape == ()
+        true_err = abs(res.value - math.log(2.0))
+        assert true_err <= res.error and true_err < 1e-14
+        want = levin_oracle(lambda n: (-1.0) ** n / (n + 1.0), (), 1e-13)
+        assert_bit_identical(("ok", (res.value, res.error, res.orders)),
+                             ("ok", want))
+
+    def test_log_series_on_unit_circle(self):
+        # sum z^n/(n+1) = -log(1-z)/z for |z| = 1, z != 1; within about 1
+        # of arg z = 0 the sum needs decimation first (lerch_core does that)
+        theta = np.array([1.0, math.pi / 2, 2.0, math.pi, 4.0, 5.0])
+        z = np.exp(1j * theta)
+
+        def terms(n):
+            n = n[:, None]
+            return z ** n / (n + 1.0)
+
+        res = levin_sum(terms, z.shape, 1e-12, max_order=90)
+        true_err = np.abs(res.value - (-np.log(1.0 - z) / z))
+        assert np.all(true_err <= res.error)
+        assert np.all(true_err < 1e-12)

@@ -137,6 +137,15 @@ class TestLerchZeta:
         ref = mp_lerch(s, a, c)
         assert abs(lerch_zeta(LerchParams(s, a, c)).value - ref) < 1e-11
 
+    def test_large_c_small_frac_c_is_accurate_and_honest(self):
+        # subtracting the n < 0 terms of zeta_star lost about 8 digits here
+        p = LerchParams(3.194306365144615 + 5.766668239344895j,
+                        0.6299713278950824, 2.0063821972249585)
+        ref = mp_lerch(p.s, p.a, p.c, dps=40)
+        res = lerch_zeta(p)
+        assert abs(res.value - ref) <= res.error_estimate
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+
     def test_requires_positive_c(self):
         with pytest.raises(DomainError):
             lerch_zeta(LerchParams(2.0, 0.3, -0.2))
