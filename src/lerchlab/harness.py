@@ -31,7 +31,7 @@ from .lerch_core import (
     hurwitz_many,
     riemann_zeta,
 )
-from .quadrature import QuadratureGrid, unit_square_grid
+from .quadrature import QuadratureGrid, rectangle_grid, unit_square_grid
 from .report import ReportRecord, timed_call
 from .special_functions import Parity, root_number, tate_gamma
 from .twisted_space import (
@@ -78,16 +78,23 @@ def _bump(t: np.ndarray) -> np.ndarray:
 
 def smooth_twisted_fn(rng: np.random.Generator, modes: int = 2,
                       label: str = "") -> TwistedFn:
-    """Random trig polynomial in a times a bump-modulated trig part in c."""
-    ja = np.arange(-modes, modes + 1)
-    jc = np.arange(0, modes + 1)
-    ca = rng.normal(size=ja.size) + 1j * rng.normal(size=ja.size)
-    cc = rng.normal(size=jc.size) + 1j * rng.normal(size=jc.size)
+    """Random trig polynomial in a times a bump-modulated trig part in c.
+
+    f(a, c) = sum_{|j| <= modes} ca_j e(j a) * sum_{0 <= j <= modes} cc_j e(j c)
+    * bump(c), with e(x) = e^(2 pi i x); both sums are evaluated by Horner's
+    rule in w = e(a) and e(c), one exponential per node.
+    """
+    size_a = 2 * modes + 1
+    size_c = modes + 1
+    ca = rng.normal(size=size_a) + 1j * rng.normal(size=size_a)
+    cc = rng.normal(size=size_c) + 1j * rng.normal(size=size_c)
 
     def core(a, c):
-        pa = sum(ca[i] * np.exp(2j * math.pi * j * a) for i, j in enumerate(ja))
-        pc = sum(cc[i] * np.exp(2j * math.pi * j * c) for i, j in enumerate(jc))
-        return pa * pc * _bump(c)
+        # np.polyval takes the top degree first
+        w = np.exp(2j * math.pi * a)
+        pa = np.polyval(ca[::-1], w) * np.conj(w) ** modes
+        pc = np.polyval(cc[::-1], np.exp(2j * math.pi * c))
+        return pa * (pc * _bump(c))
 
     return TwistedFn(core, 1, label or "smooth-test")
 
@@ -118,7 +125,12 @@ def inner_product(F: TwistedFn, G: TwistedFn, grid: QuadratureGrid) -> complex:
 
 
 def lp_norm(F: TwistedFn, grid: QuadratureGrid, p: float) -> float:
-    vals = np.abs(F.extend(grid.a, grid.c))
+    return _lp_norm_of(F.extend(grid.a, grid.c), grid, p)
+
+
+def _lp_norm_of(values: np.ndarray, grid: QuadratureGrid, p: float) -> float:
+    """L^p norm of values already evaluated on the grid."""
+    vals = np.abs(values)
     if math.isinf(p):
         return float(np.max(vals))
     return float(np.sum(grid.weights * vals ** p) ** (1.0 / p))
@@ -126,15 +138,11 @@ def lp_norm(F: TwistedFn, grid: QuadratureGrid, p: float) -> float:
 
 def _grid_c_refined(m: int, points_per_panel: int = 20) -> QuadratureGrid:
     """Suitable for T_m images: two panels per dilated c-period."""
-    from .quadrature import rectangle_grid
-
     return rectangle_grid(4, max(4, 2 * m), points_per_panel)
 
 
 def _grid_a_refined(m: int, points_per_panel: int = 20) -> QuadratureGrid:
     """Suitable for S_m images: two panels per dilated a-period."""
-    from .quadrature import rectangle_grid
-
     return rectangle_grid(max(4, 2 * m), 4, points_per_panel)
 
 
@@ -153,9 +161,11 @@ def adjoint_check(m: int, trials: int, grid: QuadratureGrid | None = None,
         for _ in range(trials):
             f = smooth_twisted_fn(rng)
             g = smooth_twisted_fn(rng)
-            lhs = inner_product(apply_hecke(OperatorKind.T, m, f), g, grid_t)
+            g_t = g.extend(grid_t.a, grid_t.c)
+            tf_t = apply_hecke(OperatorKind.T, m, f).extend(grid_t.a, grid_t.c)
+            lhs = grid_t.integrate(tf_t * np.conj(g_t))
             rhs = inner_product(f, apply_hecke(OperatorKind.S, m, g), grid_s)
-            scale = lp_norm(f, grid_t, 2) * lp_norm(g, grid_t, 2)
+            scale = lp_norm(f, grid_t, 2) * _lp_norm_of(g_t, grid_t, 2)
             worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
         return worst
 
@@ -203,19 +213,19 @@ def lp_bound_check(m: int, p: float, trials: int,
         if math.isinf(p):
             xs = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
             ys = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
-            grid = None
+
+            def norm(F: TwistedFn) -> float:
+                return float(np.max(np.abs(F.extend(xs, ys))))
         else:
             grid = unit_square_grid(max(4, 2 * m), 16)
+
+            def norm(F: TwistedFn) -> float:
+                return lp_norm(F, grid, p)
         for _ in range(trials):
             f = smooth_twisted_fn(rng)
+            den = norm(f)
             for kind in (OperatorKind.T, OperatorKind.S):
-                tf = apply_hecke(kind, m, f)
-                if grid is None:
-                    num = float(np.max(np.abs(tf.extend(xs, ys))))
-                    den = float(np.max(np.abs(f.extend(xs, ys))))
-                else:
-                    num = lp_norm(tf, grid, p)
-                    den = lp_norm(f, grid, p)
+                num = norm(apply_hecke(kind, m, f))
                 worst = max(worst, num / max(den, 1e-30) / m - 1.0)
         return max(worst, 0.0)
 
@@ -603,8 +613,9 @@ def group_adjoint(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
             f = smooth_twisted_fn(rng)
             rf = apply_R(f, 1)
             for p in (1.0, 2.0):
-                worst = max(worst, abs(lp_norm(rf, grid, p) - lp_norm(f, grid, p))
-                            / max(lp_norm(f, grid, p), 1e-30))
+                fn = lp_norm(f, grid, p)
+                worst = max(worst, abs(lp_norm(rf, grid, p) - fn)
+                            / max(fn, 1e-30))
         return worst
 
     records.append(ReportRecord.timed("adjoint:R isometry (p=1,2)",

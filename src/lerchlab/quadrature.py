@@ -7,8 +7,9 @@ geometrically toward it.  Grading makes integrable endpoint blow-ups
 (|x - j/d|^alpha with alpha > -1) converge: the mass of the innermost
 piece of a depth-L stack scales like 2^(-L (1 + alpha)).
 
-The square rule is the tensor product of two line rules; its weights sum
-to the unit area exactly up to rounding.
+The square rule is the tensor product of two line rules, kept as one
+node axis per variable; its weights sum to the unit area exactly up to
+rounding.
 """
 
 from __future__ import annotations
@@ -105,13 +106,16 @@ def line_nodes(denominator: int = 1, points_per_panel: int = 64,
 
 @dataclass
 class QuadratureGrid:
-    """Tensor GL rule on the unit square: flat node/weight arrays."""
+    """Tensor GL rule on the unit square in axis form.
+
+    ``a`` is an (Na, 1) column of a-nodes, ``c`` a (1, Nc) row of c-nodes
+    and ``weights`` their (Na, Nc) outer product, so a function that
+    broadcasts evaluates its a- and c-factors once per axis node.
+    """
 
     a: np.ndarray
     c: np.ndarray
     weights: np.ndarray
-    panels_per_axis: int
-    points_per_panel: int
 
     @property
     def size(self) -> int:
@@ -136,7 +140,4 @@ def rectangle_grid(panels_a: int, panels_c: int,
                         points_per_panel=points_per_panel)
     xc, wc = line_nodes(denominator=panels_c,
                         points_per_panel=points_per_panel)
-    A, C = np.meshgrid(xa, xc, indexing="ij")
-    W = np.outer(wa, wc)
-    return QuadratureGrid(A.ravel(), C.ravel(), W.ravel(),
-                          max(panels_a, panels_c), points_per_panel)
+    return QuadratureGrid(xa[:, None], xc[None, :], np.outer(wa, wc))

@@ -106,6 +106,24 @@ class OperatorSpec:
         return self.kind in _DIFFERENTIAL_KINDS
 
 
+def _twist_phase(k: np.ndarray, a_red: np.ndarray) -> np.ndarray:
+    """e^(-2 pi i frac(k a')) over the broadcast shape of k and a'.
+
+    On axis-shaped inputs k = floor(c) takes a few integer values, so the
+    phase is tabulated once per distinct k and a'-node and then gathered;
+    each entry is the same floating-point expression as the direct form.
+    """
+    full = math.prod(np.broadcast_shapes(k.shape, a_red.shape))
+    if a_red.size < full:
+        ku, inv = np.unique(k, return_inverse=True)
+        if ku.size * a_red.size < full:
+            ku = ku.reshape((-1,) + (1,) * a_red.ndim)
+            table = np.exp(-2j * math.pi * np.mod(ku * a_red, 1.0))
+            return np.take_along_axis(table, inv.reshape((1,) + k.shape),
+                                      axis=0)[0]
+    return np.exp(-2j * math.pi * np.mod(k * a_red, 1.0))
+
+
 class TwistedFn:
     """A function known on the open unit square, twisted-periodic beyond.
 
@@ -143,21 +161,30 @@ class TwistedFn:
         a' = a mod 1 and c' = c mod 1 (the a-rule first, then the c-rule
         floor(c) times; the order is immaterial since the a-shift carries
         no phase).
+
+        a and c are reduced as given, not broadcast against each other:
+        an (Na, 1) column of a and a (1, Nc) row of c reach the core as
+        such, and the result is broadcast to the full shape only at the
+        end.  The twist phase is computed only when some floor(c) != 0.
         """
-        a_arr = np.asarray(a, dtype=float)
-        c_arr = np.asarray(c, dtype=float)
-        scalar = a_arr.ndim == 0 and c_arr.ndim == 0
-        a_arr, c_arr = np.broadcast_arrays(np.atleast_1d(a_arr),
-                                           np.atleast_1d(c_arr))
+        a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+        c_arr = np.atleast_1d(np.asarray(c, dtype=float))
+        scalar = np.ndim(a) == 0 and np.ndim(c) == 0
+        shape = np.broadcast_shapes(a_arr.shape, c_arr.shape)
+        # cores index a and c with the same number of axes
+        a_arr = a_arr.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
+        c_arr = c_arr.reshape((1,) * (len(shape) - c_arr.ndim) + c_arr.shape)
         self._check_off_grid(a_arr, c_arr)
         a_red = np.mod(a_arr, 1.0)
         k = np.floor(c_arr)
         c_red = c_arr - k
-        phase = np.exp(-2j * math.pi * np.mod(k * a_red, 1.0))
-        values = phase * np.asarray(self.core(a_red, c_red),
-                                    dtype=np.complex128)
+        values = np.asarray(self.core(a_red, c_red), dtype=np.complex128)
+        if np.any(k != 0.0):
+            values = _twist_phase(k, a_red) * values
         if scalar:
             return complex(values.ravel()[0])
+        if values.shape != shape:
+            values = np.broadcast_to(values, shape).copy()
         return values
 
     def __call__(self, a, c):

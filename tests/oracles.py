@@ -54,30 +54,65 @@ def extended_sum(s, a, c, N=1_000_000):
     return np.sum(np.exp(2j * np.pi * (n * a % 1.0)) * np.abs(n + c) ** (-s))
 
 
-def mp_gamma(z, dps=30):
+# A reference is accepted only when it is stable under 25 more digits:
+# mpmath at a fixed precision is silently wrong at large |Im s| (30 digits
+# at Im s ~ 75, 100 digits at Im s = 300).
+EXTRA_DPS = 25
+AGREE_REL = 1e-15
+
+
+class UnsettledReference(RuntimeError):
+    """Two working precisions disagree, so neither value is a reference."""
+
+
+def _two_precision(evaluate, s, dps):
+    """evaluate(dps) at dps and dps + EXTRA_DPS; the higher-precision value
+    when they agree to AGREE_REL relative, else UnsettledReference.  The
+    default dps grows with |Im s|."""
+    if dps is None:
+        dps = int(40 + 0.6 * abs(complex(s).imag))
+    lo = evaluate(dps)
+    hi = evaluate(dps + EXTRA_DPS)
+    if abs(lo - hi) > AGREE_REL * abs(hi):
+        raise UnsettledReference(
+            f"{dps} and {dps + EXTRA_DPS} digits disagree: {lo!r} vs {hi!r}")
+    return hi
+
+
+def mp_gamma(z, dps=None):
     import mpmath as mp
 
-    with mp.workdps(dps):
-        return complex(mp.gamma(z))
+    def evaluate(d):
+        with mp.workdps(d):
+            return complex(mp.gamma(z))
+
+    return _two_precision(evaluate, z, dps)
 
 
-def mp_lerch(s, a, c, dps=30):
+def mp_lerch(s, a, c, dps=None):
     """mpmath's independently continued Lerch transcendent."""
     import mpmath as mp
 
-    with mp.workdps(dps):
-        return complex(mp.lerchphi(mp.e ** (2j * mp.pi * mp.mpf(repr(a))), s, c))
+    def evaluate(d):
+        with mp.workdps(d):
+            return complex(mp.lerchphi(mp.e ** (2j * mp.pi * mp.mpf(repr(a))),
+                                       s, c))
+
+    return _two_precision(evaluate, s, dps)
 
 
-def mp_L_pm(sign, s, a, c, dps=30):
+def mp_L_pm(sign, s, a, c, dps=None):
     """L^pm from two mpmath Lerch values (0 < a, c < 1)."""
     z1 = mp_lerch(s, a, c, dps)
     z2 = mp_lerch(s, 1.0 - a, 1.0 - c, dps)
     return z1 + sign * np.exp(-2j * np.pi * a) * z2
 
 
-def mp_hurwitz(s, x, dps=30):
+def mp_hurwitz(s, x, dps=None):
     import mpmath as mp
 
-    with mp.workdps(dps):
-        return complex(mp.zeta(s, x))
+    def evaluate(d):
+        with mp.workdps(d):
+            return complex(mp.zeta(s, x))
+
+    return _two_precision(evaluate, s, dps)

@@ -6,6 +6,7 @@ import pytest
 from lerchlab import DomainError, OperatorKind, apply_hecke, unit_square_grid
 from lerchlab.harness import (
     DEFAULT_SUITE_CONFIG,
+    _bump,
     adjoint_check,
     inner_product,
     load_config,
@@ -16,6 +17,7 @@ from lerchlab.harness import (
     smooth_twisted_fn,
     write_csv,
 )
+from lerchlab.quadrature import line_nodes, rectangle_grid
 from lerchlab.twisted_space import TwistedFn
 
 
@@ -29,7 +31,51 @@ def char_a():
         lambda a, c: np.exp(2j * np.pi * a), 1, "e(a)")
 
 
+def per_mode_exp_core(rng, modes):
+    """The test-function core as a sum of one exponential per mode, drawing
+    its coefficients from rng in the order smooth_twisted_fn does."""
+    ja = np.arange(-modes, modes + 1)
+    jc = np.arange(0, modes + 1)
+    ca = rng.normal(size=ja.size) + 1j * rng.normal(size=ja.size)
+    cc = rng.normal(size=jc.size) + 1j * rng.normal(size=jc.size)
+
+    def core(a, c):
+        pa = sum(ca[i] * np.exp(2j * np.pi * j * a) for i, j in enumerate(ja))
+        pc = sum(cc[i] * np.exp(2j * np.pi * j * c) for i, j in enumerate(jc))
+        return pa * pc * _bump(c)
+
+    return core
+
+
+class TestSmoothTwistedFn:
+    @pytest.mark.parametrize("modes", [0, 1, 2, 4])
+    def test_horner_matches_per_mode_exponentials(self, modes):
+        rng_f = np.random.default_rng(30 + modes)
+        rng_o = np.random.default_rng(30 + modes)
+        f = smooth_twisted_fn(rng_f, modes)
+        oracle = per_mode_exp_core(rng_o, modes)
+        # same draws, in the same order: the streams stay in step
+        assert rng_f.random() == rng_o.random()
+        pts = np.random.default_rng(7)
+        a = pts.uniform(0.0, 1.0, 40)
+        c = pts.uniform(0.0, 1.0, 30)
+        for x, y in ((a[:30], c), (a[:, None], c[None, :])):
+            got = f.core(x, y)
+            want = oracle(x, y)
+            assert got.shape == np.broadcast_shapes(x.shape, y.shape)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestQuadratureGrid:
+    def test_axis_form(self):
+        grid = rectangle_grid(3, 5, 8)
+        xa, wa = line_nodes(3, 8)
+        xc, wc = line_nodes(5, 8)
+        np.testing.assert_array_equal(grid.a, xa[:, None])
+        np.testing.assert_array_equal(grid.c, xc[None, :])
+        np.testing.assert_array_equal(grid.weights, np.outer(wa, wc))
+        assert grid.size == 24 * 40
+
     def test_weights_sum_to_area(self):
         for p in (2, 4, 7):
             grid = unit_square_grid(p, 12)

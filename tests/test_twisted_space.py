@@ -20,6 +20,7 @@ from lerchlab import (
     riemann_zeta,
     zeta_operator_partial,
 )
+from lerchlab.harness import sample_off_lattice, smooth_twisted_fn
 from lerchlab.twisted_space import apply_functional
 
 from oracles import direct_sum
@@ -72,6 +73,40 @@ class TestExtend:
         vals = F.extend(a, c)
         for i in range(3):
             assert abs(vals[i] - F.extend(float(a[i]), float(c[i]))) < 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_axis_inputs_match_flattened_meshgrid(self, m):
+        rng = np.random.default_rng(100 + m)
+        f = smooth_twisted_fn(rng)
+        # off the 1/60 lattice (60 = lcm(1..5)); c reaches past 1 and below 0
+        # so the twist phase is exercised
+        a = sample_off_lattice(rng, 9, 60) + np.array([0, 0, 0, 1, 1, 1, -1, -1, 2])
+        c = sample_off_lattice(rng, 7, 60) + np.array([0, 0, 0, 1, 1, -1, 2])
+        A, C = np.meshgrid(a, c, indexing="ij")
+        ops = [f, apply_R(f, 1)] + [apply_hecke(kind, m, f) for kind in (
+            OperatorKind.T, OperatorKind.S, OperatorKind.T_VEE,
+            OperatorKind.S_VEE)]
+        for G in ops:
+            axis = G.extend(a[:, None], c[None, :])
+            flat = G.extend(A.ravel(), C.ravel())
+            assert axis.shape == (a.size, c.size), G
+            assert axis.flags.writeable, G
+            np.testing.assert_array_equal(axis.ravel(), flat, err_msg=repr(G))
+
+    def test_broadcast_result_is_writable(self):
+        const = TwistedFn(lambda a, c: np.ones_like(a, dtype=complex), 1, "1")
+        out = const.extend(np.array([[0.2], [0.3]]), np.array([[0.4, 0.6, 0.7]]))
+        assert out.shape == (2, 3) and out.flags.writeable
+        out[0, 0] = 5.0
+        assert out[1, 0] == 1.0
+
+    def test_lattice_rejection_on_one_axis_node(self, F):
+        G = apply_hecke(OperatorKind.T, 2, F)
+        good = np.array([0.1, 0.3, 0.7])
+        with pytest.raises(LatticePointError, match=r"^a = .*0\.5\b"):
+            G.extend(np.array([0.1, 0.5, 0.7])[:, None], good[None, :])
+        with pytest.raises(LatticePointError, match=r"^c = .*1\.5\b"):
+            G.extend(good[:, None], np.array([0.2, 1.5])[None, :])
 
 
 class TestHecke:
