@@ -19,7 +19,9 @@ All arrays carry trailing "points" axes so a whole grid of series (one
 per evaluation point) is accelerated in a single pass.  Convergence is
 tracked per point through the stabilization of successive transform
 orders; the returned error estimate is a small safety multiple of the last
-two differences.
+two differences.  A point's estimates depend only on its own terms and
+never grow, so a batch with per-point tolerances stops at the latest of
+its points' own stopping orders.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _factors(max_order: int, beta: float) -> np.ndarray:
 def levin_sum(
     term_fn: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, ...],
-    tol: float,
+    tol: float | np.ndarray,
     max_order: int = 80,
     beta: float = 1.0,
     min_order: int = 6,
@@ -83,10 +85,14 @@ def levin_sum(
 
     ``term_fn(idx)`` gets a 1-d integer array of term indices and must
     return the terms t_idx as an array of shape ``idx.shape + shape``.
-    Raises :class:`AccelerationFailureError` when the worst point fails to
-    stabilize below ``tol`` within ``max_order`` terms; the partially
-    converged value and estimate ride along on the exception.
+    ``tol`` is one tolerance for every point or an array of per-point
+    tolerances that broadcasts to ``shape``; the sum stops at the first
+    order (from ``min_order`` on) where every point's estimate is at or
+    below its own tolerance.  Raises :class:`AccelerationFailureError`
+    when some point fails to get there within ``max_order`` terms; the
+    partially converged value and estimate ride along on the exception.
     """
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), shape)
     block = max(1, min(_BLOCK_TERMS, _BLOCK_VALUES // max(1, math.prod(shape))))
     factors = _factors(max_order, beta)
     per_term = (-1,) + (1,) * len(shape)   # broadcast over a block's terms
@@ -146,13 +152,15 @@ def levin_sum(
                 improved = est < err
                 best = np.where(improved, val, best)
                 err = np.where(improved, est, err)
-                if n >= min_order and err.max() <= tol:
+                if n >= min_order and np.all(err <= tols):
                     return LevinResult(best, err, n + 1)
             prev2 = prev1
             prev1 = val
 
+    lo, hi = tols.min(), tols.max()
+    bound = f"{lo:g}" if lo == hi else f"per-point tolerances {lo:g} to {hi:g}"
     raise AccelerationFailureError(
-        f"Levin transform did not stabilize below {tol:g} within "
+        f"Levin transform did not stabilize below {bound} within "
         f"{max_order} terms (worst estimate {err.max():g})",
         value=best,
         error_estimate=err,

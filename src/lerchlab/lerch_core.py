@@ -306,11 +306,19 @@ def _phi_small_a(s: complex, a_off: np.ndarray, c: np.ndarray, tol: float):
 # oscillatory a: decimation + Levin acceleration
 # ---------------------------------------------------------------------------
 
-def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
-               max_order: int = 90, head: int = 8):
+# Widest Levin batch, in series.  Measured on 10^4-point grids: with no
+# cap they ran about 15 % slower, at 2048 about 10 % slower, and at 8192
+# the peak RSS grew by 5 MB; the first Levin table here is 4 MiB
+# (32 rows x 2 x 4096 x 16 B).
+_LEVIN_BATCH = 4096
+
+
+def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray,
+               tol: float | np.ndarray, max_order: int = 90, head: int = 8):
     """Levin-accelerated one-sided sum for well-separated a.
 
     The first ``head`` terms are summed directly; Levin takes the rest.
+    ``tol`` is a scalar or one tolerance per point.
     """
     def terms(idx):
         n = idx[:, None]
@@ -332,28 +340,43 @@ def _phi_oscillatory(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
     zeta(s, a, c) = m^(-s) sum_{r<m} e^(2 pi i r a) zeta(s, m a, (r+c)/m),
     with m chosen per point so that frac(m a) sits near 1/2; the identity
     is the n = m j + r reindexing of the defining series and transfers to
-    the continuation.
+    the continuation.  The subseries of every m go through Levin together,
+    each with its own tolerance tol/sqrt(m), in consecutive batches of at
+    most _LEVIN_BATCH series.
     """
     a_off = a - np.round(a)
     dist = np.abs(a_off)
     m_pt = np.maximum(1, np.round(0.5 / np.maximum(dist, 1e-12)).astype(int))
     m_pt[dist >= 0.35] = 1
 
+    groups = [(m, np.nonzero(m_pt == m)[0]) for m in np.unique(m_pt)]
+    # group m holds m x len(sel) subseries, row r at inner c = (r + c)/m
+    inner_a = np.concatenate([np.broadcast_to(m * a[sel], (m, sel.size)).ravel()
+                              for m, sel in groups])
+    inner_c = np.concatenate([((np.arange(m)[:, None] + c[sel]) / m).ravel()
+                              for m, sel in groups])
+    inner_tol = np.concatenate([np.full(m * sel.size, tol / math.sqrt(m))
+                                for m, sel in groups])
+    sub_v = np.empty(inner_a.shape, dtype=np.complex128)
+    sub_e = np.empty(inner_a.shape, dtype=float)
+    for lo in range(0, inner_a.size, _LEVIN_BATCH):
+        part = slice(lo, lo + _LEVIN_BATCH)
+        sub_v[part], sub_e[part] = _phi_levin(s, inner_a[part], inner_c[part],
+                                              inner_tol[part], max_order)
+
     values = np.zeros(a.shape, dtype=np.complex128)
     errors = np.zeros(a.shape, dtype=float)
-    for m in np.unique(m_pt):
-        sel = np.nonzero(m_pt == m)[0]
+    start = 0
+    for m, sel in groups:
+        stop = start + m * sel.size
+        v = sub_v[start:stop].reshape(m, sel.size)
+        e = sub_e[start:stop].reshape(m, sel.size)
+        start = stop
         if m == 1:
-            v, e = _phi_levin(s, a[sel], c[sel], tol, max_order)
-            values[sel] = v
-            errors[sel] = e
+            values[sel] = v[0]
+            errors[sel] = e[0]
             continue
         r = np.arange(m)[:, None]
-        inner_a = np.broadcast_to(m * a[sel][None, :], (m, sel.size)).ravel()
-        inner_c = ((r + c[sel][None, :]) / m).ravel()
-        v, e = _phi_levin(s, inner_a, inner_c, tol / math.sqrt(m), max_order)
-        v = v.reshape(m, sel.size)
-        e = e.reshape(m, sel.size)
         coeff = np.exp(2j * math.pi * np.mod(r * a[sel][None, :], 1.0))
         m_pow = np.exp(-complex(s) * math.log(m))
         values[sel] = m_pow * np.sum(coeff * v, axis=0)
@@ -422,8 +445,10 @@ def _lpm_series_cell(s: complex, a: np.ndarray, c: np.ndarray,
     L^pm(s,a,c) = zeta(s,a,c) +- e^(-2 pi i a) zeta(s,1-a,1-c); both
     halves are returned so L^+ + L^- = 2 zeta_star holds by construction.
     """
-    za, ea = _phi_dispatch(s, a, c, cfg, tol)
-    zb, eb = _phi_dispatch(s, 1.0 - a, 1.0 - c, cfg, tol)
+    z, e = _phi_dispatch(s, np.concatenate([a, 1.0 - a]),
+                         np.concatenate([c, 1.0 - c]), cfg, tol)
+    za, zb = z[:a.size], z[a.size:]
+    ea, eb = e[:a.size], e[a.size:]
     cross = np.exp(-2j * math.pi * a) * zb
     err = ea + eb + 1e-16 * (np.abs(za) + np.abs(zb))
     return za + cross, za - cross, err

@@ -126,8 +126,11 @@ def complex_gamma(z: complex) -> GammaValue:
         return GammaValue(complex("nan"), is_pole=True)
     if z.real >= 0.5:
         return GammaValue(_lanczos_gamma(z))
-    # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
-    sin_piz = cmath.sin(cmath.pi * z)
+    # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)), with
+    # sin(pi z) = (-1)^n sin(pi (z - n)): z - n is exact, so the digits
+    # sin keeps near its zero at n survive
+    sign = -1.0 if nearest % 2 else 1.0
+    sin_piz = sign * cmath.sin(cmath.pi * (z - nearest))
     return GammaValue(cmath.pi / (sin_piz * _lanczos_gamma(1.0 - z)))
 
 

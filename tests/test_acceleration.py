@@ -3,7 +3,8 @@
 ``levin_oracle`` is the per-order recursion, one term and one table row
 per numpy call.  The blocked kernel does the same arithmetic on every
 element, so values, error estimates, orders and failure payloads must
-match it bit for bit, at every batch width and block size.
+match it bit for bit, at every batch width and block size, with one
+tolerance for the batch or one per point.
 """
 
 import math
@@ -21,7 +22,12 @@ HEAD = 8
 
 
 def levin_oracle(term_fn, shape, tol, max_order=80, beta=1.0, min_order=6):
-    """Levin u-transform, term by term; ``term_fn(n)`` gives term n."""
+    """Levin u-transform, term by term; ``term_fn(n)`` gives term n.
+
+    ``tol`` is a scalar or per-point tolerances broadcasting to ``shape``;
+    the sum stops once every point's estimate is at or below its own.
+    """
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), shape)
     num = np.zeros((max_order,) + shape, dtype=np.complex128)
     den = np.zeros((max_order,) + shape, dtype=np.complex128)
     partial = np.zeros(shape, dtype=np.complex128)
@@ -57,13 +63,15 @@ def levin_oracle(term_fn, shape, tol, max_order=80, beta=1.0, min_order=6):
             improved = est < err
             best = np.where(improved, val, best)
             err = np.where(improved, est, err)
-            if n >= min_order and err.max() <= tol:
+            if n >= min_order and np.all(err <= tols):
                 return best, err, n + 1
         prev2 = prev1
         prev1 = val
 
+    lo, hi = tols.min(), tols.max()
+    bound = f"{lo:g}" if lo == hi else f"per-point tolerances {lo:g} to {hi:g}"
     raise AccelerationFailureError(
-        f"Levin transform did not stabilize below {tol:g} within "
+        f"Levin transform did not stabilize below {bound} within "
         f"{max_order} terms (worst estimate {err.max():g})",
         value=best,
         error_estimate=err,
@@ -167,6 +175,99 @@ class TestMatchesOracle:
         want = levin_oracle(lerch_tail(s, a, c), (2, 3), 1e-12, max_order=90)
         assert_bit_identical(("ok", (res.value, res.error, res.orders)),
                              ("ok", want))
+
+
+def random_tols(seed, shape):
+    """Per-point tolerances spread over 1e-13 .. 1e-8."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-13.0, -8.0, shape)
+
+
+def run_pair(term_fn, shape, tol, max_order=90):
+    """Outcomes of the blocked kernel and the oracle, which must agree."""
+    def blocked():
+        res = levin_sum(term_fn, shape, tol, max_order=max_order)
+        return res.value, res.error, res.orders
+    got = outcome(blocked)
+    want = outcome(lambda: levin_oracle(lambda n: term_fn(np.array([n]))[0],
+                                        shape, tol, max_order=max_order))
+    assert_bit_identical(got, want)
+    return got
+
+
+class TestPerPointTolerance:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_batch(self, width, seed):
+        s, a, c = random_batch(7000 * width + seed, width)
+        run_pair(lerch_tail_block(s, a, c), (width,),
+                 random_tols(seed, (width,)))
+
+    @pytest.mark.parametrize("width", (1, 3, 64, 2048))
+    def test_failure_payload(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.uniform(0.05, 0.35, width)
+        c = rng.uniform(0.05, 1.0, width)
+        kind, (message, _, _) = run_pair(lerch_tail_block(0.5 + 60j, a, c),
+                                         (width,), random_tols(width, (width,)))
+        assert kind == "raised"
+        assert ("per-point tolerances" in message) == (width > 1)
+
+    def test_broadcast_tolerance(self):
+        # one tolerance per column of a (2, 3) batch
+        rng = np.random.default_rng(11)
+        s = 0.6 - 9j
+        a = rng.uniform(0.36, 0.64, (2, 3))
+        c = rng.uniform(0.05, 1.0, (2, 3))
+
+        def terms(idx):
+            n = HEAD + idx[:, None, None]
+            phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
+            return phase * (n + c) ** (-s)
+
+        kind, (_, err, _) = run_pair(terms, (2, 3),
+                                     np.array([1e-13, 1e-10, 1e-8]))
+        assert kind == "ok"
+        assert np.all(err <= np.array([1e-13, 1e-10, 1e-8]))
+
+    def test_constant_array_matches_scalar(self):
+        s, a, c = random_batch(5, 64)
+        terms = lerch_tail_block(s, a, c)
+        scalar = levin_sum(terms, (64,), 1e-12, max_order=90)
+        array = levin_sum(terms, (64,), np.full(64, 1e-12), max_order=90)
+        assert scalar.orders == array.orders
+        assert scalar.value.tobytes() == array.value.tobytes()
+        assert scalar.error.tobytes() == array.error.tobytes()
+
+    @pytest.mark.parametrize("s, a0", [(0.7 + 5j, 0.5), (0.3 - 12j, 0.4),
+                                       (1.2 + 25j, 0.6), (0.5 + 60j, 0.2)])
+    def test_merged_batch_stops_at_latest_point(self, s, a0):
+        # a point's estimates depend only on its own terms and never grow,
+        # so a batch stops at the largest of its points' stopping orders
+        # and fails exactly when one of its points fails on its own (the
+        # point a0 = 0.2 at Im s = 60 does)
+        rng = np.random.default_rng(int(abs(s.imag)))
+        a = np.append(a0, rng.uniform(0.36, 0.64, 5))
+        c = rng.uniform(0.05, 1.0, 6)
+        tols = random_tols(int(abs(s.imag)), (6,))
+        alone = [outcome(lambda i=i: levin_sum(
+            lerch_tail_block(s, a[i:i + 1], c[i:i + 1]), (1,), tols[i],
+            max_order=90)) for i in range(6)]
+        merged = outcome(lambda: levin_sum(lerch_tail_block(s, a, c), (6,),
+                                           tols, max_order=90))
+        any_raised = any(kind == "raised" for kind, _ in alone)
+        assert (merged[0] == "raised") == any_raised
+        assert any_raised == (a0 == 0.2)
+        if not any_raised:
+            orders = [res.orders for _, res in alone]
+            assert len(set(orders)) > 1
+            assert merged[1].orders == max(orders)
+            assert np.all(merged[1].error <= tols)
+
+    def test_rejects_unbroadcastable_tolerance(self):
+        s, a, c = random_batch(3, 4)
+        with pytest.raises(ValueError):
+            levin_sum(lerch_tail_block(s, a, c), (4,), np.full(3, 1e-12))
 
 
 class TestPhiLevin:

@@ -6,6 +6,7 @@ import pytest
 
 from lerchlab import (
     DEFAULT_CONFIG,
+    AccelerationFailureError,
     DegenerateParameterError,
     DomainError,
     L_pm,
@@ -18,6 +19,7 @@ from lerchlab import (
     eval_reflected,
     eval_strip,
     hurwitz,
+    l_pm_many,
     lerch_star,
     lerch_star_many,
     lerch_zeta,
@@ -25,6 +27,7 @@ from lerchlab import (
     tate_gamma,
     zeta_direct,
 )
+from lerchlab import lerch_core
 
 from oracles import (
     direct_sum,
@@ -381,6 +384,86 @@ class TestStrategyDispatch:
         dc = (up - down) / (2 * h)
         target = -s * lerch_star(LerchParams(s + 1, a, c)).value
         assert abs(dc - target) < 1e-5
+
+
+def band_points(seed, per_band=2):
+    """Points with a in every decimation band m = 1..25 (m = round(0.5/d)
+    for a at distance d from an integer, m = 1 from d = 0.35 up)."""
+    rng = np.random.default_rng(seed)
+    a, c = [], []
+    for m in range(1, 26):
+        lo = 0.35 if m == 1 else max(0.02, 0.5 / (m + 0.5))
+        hi = 0.5 if m == 1 else min(0.35, 0.5 / (m - 0.5))
+        d = rng.uniform(lo, hi, per_band)
+        a.extend(np.where(rng.random(per_band) < 0.5, d, 1.0 - d))
+        c.extend(rng.uniform(0.05, 1.0, per_band))
+    return np.array(a), np.array(c)
+
+
+def levin_series(a):
+    """Series Levin sums for one-sided points at a: m per oscillatory a."""
+    dist = np.abs(a - np.round(a))
+    dist = dist[dist >= DEFAULT_CONFIG.small_a_cutoff]
+    m = np.maximum(1, np.round(0.5 / dist).astype(int))
+    m[dist >= 0.35] = 1
+    return int(m.sum())
+
+
+@pytest.fixture
+def levin_widths(monkeypatch):
+    """The number of series of every levin_sum call lerch_core makes."""
+    widths = []
+    inner = lerch_core.levin_sum
+
+    def counting(term_fn, shape, *args, **kwargs):
+        widths.append(math.prod(shape))
+        return inner(term_fn, shape, *args, **kwargs)
+
+    monkeypatch.setattr(lerch_core, "levin_sum", counting)
+    return widths
+
+
+class TestLevinBatching:
+    @pytest.mark.parametrize("s", [0.5 + 3j, 1.1 - 8j, -0.3 + 2j, 0.9 + 14j,
+                                   0.5 + 20j])
+    def test_batch_matches_points_one_at_a_time(self, s):
+        a, c = band_points(5)
+
+        def run(a, c):
+            try:
+                return lerch_core._phi_oscillatory(s, a, c, 1e-12)
+            except AccelerationFailureError:
+                return None
+
+        batch = run(a, c)
+        alone = [run(a[i:i + 1], c[i:i + 1]) for i in range(a.size)]
+        assert (batch is None) == any(one is None for one in alone)
+        if batch is not None:
+            for i, (v, e) in enumerate(alone):
+                assert abs(batch[0][i] - v[0]) <= batch[1][i] + e[0]
+
+    def test_scalar_l_pm_is_one_levin_call(self, levin_widths):
+        L_pm(LerchParams(0.7 + 4j, 0.3, 0.4), Parity.PLUS)
+        assert levin_widths == [4]   # m = 2 for a = 0.3 and for 1 - a
+
+    def test_grid_batches_are_capped(self, levin_widths):
+        a = np.linspace(0.005, 0.995, 100)
+        c = np.linspace(0.005, 0.995, 100)
+        l_pm_many(0.7 + 4j, Parity.MINUS, a[:, None], c[None, :])
+        series = 100 * (levin_series(a) + levin_series(1.0 - a))
+        assert sum(levin_widths) == series
+        assert lerch_core._LEVIN_BATCH == 4096
+        assert max(levin_widths) <= 4096
+        assert len(levin_widths) == -(-series // 4096)
+
+    def test_one_failing_point_fails_the_batch(self):
+        # pinned until a batch can report failure per point: the second
+        # point does not stabilize, and the whole call raises for it
+        with pytest.raises(AccelerationFailureError):
+            lerch_star_many(0.5 + 20j, [0.3, 0.6667282529526651],
+                            [0.4, 0.6118082607361585])
+        vals, errs = lerch_star_many(0.5 + 20j, [0.3], [0.4])
+        assert np.isfinite(vals[0]) and errs[0] < 1e-10
 
 
 class TestLerchParams:

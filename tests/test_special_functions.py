@@ -43,6 +43,14 @@ class TestComplexGamma:
         assert complex_gamma(-3.0 + 1e-14j).is_pole
         assert not complex_gamma(-3.0 + 1e-6j).is_pole
 
+    @pytest.mark.parametrize("z", [-1.9999999999999996 + 1e-13j,
+                                   -0.9999999999999996 + 1e-13j,
+                                   -2.0000001])
+    def test_relative_accuracy_next_to_poles(self, z):
+        # rounding pi*z cost the digits sin(pi z) keeps near its zero
+        ref = mp_gamma(z)
+        assert abs(complex_gamma(z).value - ref) / abs(ref) < 1e-14
+
     @settings(max_examples=120, deadline=None)
     @given(st.floats(-3, 4), st.floats(-10, 10))
     def test_recurrence(self, x, y):
