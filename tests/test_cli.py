@@ -55,6 +55,16 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--c", "inf"),
+                                             ("--s", "nan")])
+    def test_non_finite_argument_is_usage_error(self, capsys, flag, value):
+        argv = {"--s": "2,0", "--a": "0.3", "--c": "0.4", flag: value}
+        code, out, err = run_cli(capsys, "eval", "--function", "zeta-star",
+                                 *[x for pair in argv.items() for x in pair])
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} must be finite" in err
+
     def test_hurwitz(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--function", "hurwitz",
                                "--s", "2", "--a", "0", "--c", "0.5")

@@ -19,18 +19,22 @@ from lerchlab import (
     eval_reflected,
     eval_strip,
     hurwitz,
+    hurwitz_many,
     l_pm_many,
     lerch_star,
     lerch_star_many,
     lerch_zeta,
+    riemann_zeta,
     root_number,
     tate_gamma,
     zeta_direct,
 )
 from lerchlab import lerch_core
+from lerchlab.acceleration import levin_sum
 
 from oracles import (
     direct_sum,
+    mp_hurwitz,
     mp_L_pm,
     mp_lerch,
     two_sided_sum,
@@ -477,3 +481,178 @@ class TestLerchParams:
     def test_eval_result_error_nonnegative(self):
         res = lerch_star(LerchParams(0.8, 0.37, 0.52))
         assert res.error_estimate >= 0.0
+
+
+class TestNonFiniteInputs:
+    NAN = float("nan")
+    INF = float("inf")
+
+    @pytest.mark.parametrize("s, a, c", [(complex(0.5, NAN), 0.3, 0.4),
+                                         (0.5 + 1j, NAN, 0.3),
+                                         (0.5 + 1j, INF, 0.3),
+                                         (0.5 + 1j, 0.3, -INF)])
+    def test_lerch_params(self, s, a, c):
+        with pytest.raises(DomainError, match="must be finite"):
+            LerchParams(s, a, c)
+
+    def test_scalar_entries(self):
+        with pytest.raises(DomainError, match="x must be finite"):
+            hurwitz(2.0, self.INF)
+        with pytest.raises(DomainError, match="s must be finite"):
+            riemann_zeta(complex(2.0, self.INF))
+
+    def test_array_entries(self):
+        with pytest.raises(DomainError, match="x must be finite"):
+            hurwitz_many(2.0, [0.5, self.NAN])
+        with pytest.raises(DomainError, match="c must be finite"):
+            lerch_star_many(0.5 + 1j, [0.3, 0.6], [0.4, self.NAN])
+        with pytest.raises(DomainError, match="a must be finite"):
+            l_pm_many(0.5 + 1j, Parity.MINUS, [[0.3], [self.INF]], [0.4, 0.5])
+        with pytest.raises(DomainError, match="s must be finite"):
+            lerch_star_many(complex(self.NAN, 1.0), [0.3], [0.4])
+
+    def test_empty_arrays(self):
+        vals, errs = hurwitz_many(2.0, [])
+        assert vals.shape == errs.shape == (0,)
+        vals, errs = lerch_star_many(2.0, [], [])
+        assert vals.shape == errs.shape == (0,)
+
+
+class TestHurwitzAccuracy:
+    def test_kubert_points_at_s_2_5(self):
+        # the milnor_baseline Kubert check at s = -1.5 sums zeta_H(2.5, x)
+        # at x = (u + k)/m; the values are accurate to 1e-13 relative
+        # even where they reach ~5e6
+        u = np.random.default_rng(31).uniform(0.05, 0.95, 12)
+        for m in (1, 7, 40):
+            x = u / m
+            vals, _ = hurwitz_many(2.5, x, 1e-13)
+            for xi, v in zip(x, vals):
+                ref = mp_hurwitz(2.5, float(xi))
+                assert abs(v - ref) <= 1e-13 * abs(ref)
+
+
+# Reference formulas that compute every factor at every point.  The
+# engine computes factors once per distinct value and must reproduce
+# their results bit for bit.
+
+def per_point_levin(s, a, c, tol, max_order=90, head=8):
+    def terms(idx):
+        n = idx[:, None]
+        phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
+        return phase * (n + c) ** (-s)
+
+    head_sum = np.sum(terms(np.arange(head)), axis=0)
+    res = levin_sum(lambda idx: terms(head + idx), a.shape, tol,
+                    max_order=max_order)
+    return head_sum + res.value, res.error + 1e-16 * np.abs(head_sum)
+
+
+def per_point_hurwitz(s, x, tol):
+    s = complex(s)
+    J = 14
+    sigma = s.real
+    rise = math.prod(abs(s + m) for m in range(2 * J + 1))
+    safety = max(1.0, abs(s + 2 * J + 1) / (sigma + 2 * J + 1))
+    bcoef = abs(lerch_core._BERNOULLI_EVEN[J]) / math.factorial(2 * J + 2)
+    N = int(max(10.0, 0.4 * (abs(s) + 2 * J), 2.0 - sigma))
+    for _ in range(40):
+        bound_worst = rise * safety * bcoef * (N + float(np.min(x))) ** (
+            -(sigma + 2 * J + 1))
+        if bound_worst <= tol or N > 1_000_000:
+            break
+        N *= 2
+    n = np.arange(N)[:, None]
+    head = np.sum((n + x[None, :]) ** (-s), axis=0)
+    y = (N + x).astype(complex)
+    tail = y ** (1.0 - s) / (s - 1.0) + 0.5 * y ** (-s)
+    poch = s
+    for j in range(1, J + 1):
+        tail = tail + (lerch_core._BERNOULLI_EVEN[j - 1] / math.factorial(2 * j)
+                       ) * poch * y ** (-(s + 2 * j - 1))
+        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+    values = head + tail
+    bound = rise * safety * bcoef * np.abs(y) ** (-(sigma + 2 * J + 1))
+    largest = np.abs(y) ** max(0.0, -sigma)
+    return values, bound + 1e-16 * math.sqrt(N) * np.maximum(np.abs(values), largest)
+
+
+def per_point_small_a_s2(a_off, c, tol):
+    """_phi_small_a at s = 2 (the positive-integer branch, m = 2)."""
+    w = (2j * math.pi) * a_off
+    worst = float(np.max(np.abs(a_off)))
+    kmax = min(60, max(10, int(math.log(max(tol, 1e-17)) /
+                               math.log(max(worst, 1e-17))) + 6))
+    m = 2
+    values = np.zeros(a_off.shape, dtype=np.complex128)
+    errors = np.zeros(a_off.shape, dtype=float)
+    psi_m = sum(1.0 / j for j in range(1, m)) - lerch_core._EULER_GAMMA
+    psi_c = np.array([lerch_core._digamma(ci) for ci in c])
+    lead = w ** (m - 1) / math.factorial(m - 1) * (psi_m - psi_c - np.log(-w))
+    values += lead
+    errors += 4e-16 * np.abs(lead)
+    wk = np.ones_like(w)
+    term = np.zeros_like(w)
+    for k in range(kmax + 1):
+        if k != m - 1:
+            zh, zh_err = per_point_hurwitz(m - k, c, tol)
+            term = zh * wk
+            values += term
+            errors += zh_err * np.abs(wk) + 1e-16 * np.abs(term)
+            if k >= 2 and np.all(np.abs(term) < 0.25 * tol):
+                break
+        wk = wk * w / (k + 1.0)
+    errors += np.abs(term)
+    twist = np.exp(-w * c)
+    return twist * values, np.abs(twist) * errors
+
+
+CUT = lerch_core._DISTINCT_MIN
+
+
+def factor_inputs(kind, width, lo, hi, seed):
+    """Two arrays of ``width`` points in [lo, hi): all distinct, a tensor
+    grid (each value repeated), or one value repeated throughout."""
+    rng = np.random.default_rng([seed, width])
+    if kind == "distinct":
+        return rng.uniform(lo, hi, width), rng.uniform(0.05, 1.0, width)
+    if kind == "single":
+        return (np.full(width, rng.uniform(lo, hi)),
+                np.full(width, rng.uniform(0.05, 1.0)))
+    rows = max(1, int(math.sqrt(width)))
+    cols = -(-width // rows)
+    A, C = np.meshgrid(rng.uniform(lo, hi, rows), rng.uniform(0.05, 1.0, cols),
+                       indexing="ij")
+    return A.ravel()[:width].copy(), C.ravel()[:width].copy()
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# widths around the cut-off, plus 2048 and 4096, where the 8-term head
+# block reaches 256 KiB and numpy reuses temporaries in the term product
+FACTOR_WIDTHS = [1, CUT - 1, CUT, CUT + 1, 2048, 4096]
+
+
+@pytest.mark.parametrize("kind", ["distinct", "grid", "single"])
+@pytest.mark.parametrize("width", FACTOR_WIDTHS)
+class TestDistinctFactorsBitIdentical:
+    def test_levin(self, kind, width):
+        a, c = factor_inputs(kind, width, 0.36, 0.64, 1)
+        s = 0.7 + 3j
+        assert_same_bits(lerch_core._phi_levin(s, a, c, 1e-12),
+                         per_point_levin(s, a, c, 1e-12))
+
+    def test_hurwitz(self, kind, width):
+        _, x = factor_inputs(kind, width, 0.0, 1.0, 2)
+        for s in (2.5, -1.5 + 2j):
+            assert_same_bits(lerch_core._hurwitz_em(s, x, 1e-13),
+                             per_point_hurwitz(s, x, 1e-13))
+
+    def test_small_a_integer_s(self, kind, width):
+        a_off, c = factor_inputs(kind, width, -0.019, 0.019, 3)
+        assert_same_bits(lerch_core._phi_small_a(2.0, a_off, c, 1e-12),
+                         per_point_small_a_s2(a_off, c, 1e-12))
