@@ -26,8 +26,6 @@ from .lerch_core import (
     Strategy,
     StrategyConfig,
     completed_L,
-    eval_reflected,
-    eval_strip,
     hurwitz,
     hurwitz_many,
     l_pm_many,
@@ -37,7 +35,6 @@ from .lerch_core import (
     lpm_is_identically_zero,
     r_pm_is_identically_zero,
     riemann_zeta,
-    zeta_direct,
 )
 from .twisted_space import (
     OperatorKind,

@@ -2,8 +2,7 @@
 characterization, and report re-rendering.
 
 Exit codes: 0 success / all checks passed, 1 evaluation error or check
-failure, 2 usage or configuration errors.  The environment variable
-LERCHLAB_TOL overrides the evaluation target tolerance globally.
+failure, 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--parity", choices=("+", "-"), default="+",
                         help="parity for L / L-hat")
     p_eval.add_argument("--tol", type=float, default=None,
-                        help="target tolerance (default 1e-12 or LERCHLAB_TOL)")
+                        help="target tolerance (default 1e-12)")
 
     p_verify = sub.add_parser("verify", help="run identity check groups")
     p_verify.add_argument("--group", action="append", default=None,

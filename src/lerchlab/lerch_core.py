@@ -19,15 +19,21 @@ continuation.  Evaluation strategies, per point:
   conditioned point -1.
 * Re(s) <= ``sigma_lo`` with non-integer a: reflection through the
   functional equation to 1 - s, where the series strategies apply.
-* Re(s) >= ``sigma_hi`` when the absolute tail bound is cheap: plain
-  truncated summation (the only strategy whose error estimate is the
-  absolute tail bound rather than a stabilization or remainder estimate).
+* Re(s) >= ``sigma_hi`` when the absolute tail bound is cheap at the
+  point summed: plain truncated summation (the only strategy whose error
+  estimate is the absolute tail bound rather than a stabilization or
+  remainder estimate).  Only the scalar entries ``lerch_star`` and
+  ``lerch_zeta`` take it.
 
 The extended function zeta_star (two-sided support n + c > 0) and the
 symmetrized pair L^+/L^- are linear combinations of one-sided values; the
 completed functions multiply in the archimedean gamma factor.  Bases
 (n + c) are positive reals throughout, so (n + c)^(-s) carries no branch
-ambiguity.
+ambiguity.  One private engine, ``_engine``, evaluates zeta_star (kind
+None) and L^+/L^- (kind Parity.PLUS / Parity.MINUS) on arrays.
+``lerch_star``, ``lerch_star_many``, ``L_pm`` and ``l_pm_many`` wrap it;
+``lerch_zeta`` at c > 1 and Re(s) > sigma_lo sums the one-sided series at
+c itself.
 """
 
 from __future__ import annotations
@@ -35,8 +41,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +49,6 @@ from .acceleration import levin_sum
 from .errors import (
     DegenerateParameterError,
     DomainError,
-    NonConvergenceError,
 )
 from .special_functions import Parity, complex_gamma, gamma_R, root_number, tate_gamma
 
@@ -54,13 +58,10 @@ __all__ = [
     "EvalResult",
     "StrategyConfig",
     "DEFAULT_CONFIG",
-    "zeta_direct",
     "lerch_star",
     "lerch_star_many",
     "L_pm",
     "l_pm_many",
-    "eval_strip",
-    "eval_reflected",
     "completed_L",
     "hurwitz",
     "hurwitz_many",
@@ -125,16 +126,6 @@ class EvalResult:
     strategy: Strategy
 
 
-def _env_tol(default: float) -> float:
-    raw = os.environ.get("LERCHLAB_TOL")
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise DomainError(f"LERCHLAB_TOL is not a number: {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class StrategyConfig:
     """Evaluation thresholds and budgets.
@@ -142,17 +133,15 @@ class StrategyConfig:
     ``sigma_hi``/``sigma_lo`` bound the direct-series and reflection
     regimes; the strip in between is handled by acceleration.  Direct
     summation is additionally gated on its absolute tail bound being
-    reachable within ``direct_cheap_terms`` terms, since near sigma_hi
-    that bound needs astronomically many terms at tight tolerances.  The
-    environment variable LERCHLAB_TOL overrides ``target_tol`` at
-    construction time.
+    reachable within ``direct_cheap_terms`` terms at the point summed,
+    since near sigma_hi that bound needs astronomically many terms at
+    tight tolerances.  ``target_tol`` is the default tolerance; derive a
+    variant with ``dataclasses.replace(cfg, target_tol=...)``.
     """
 
     sigma_hi: float = 1.5
     sigma_lo: float = -0.5
-    max_terms: int = 2_000_000
-    target_tol: float = field(default_factory=lambda: _env_tol(1e-12))
-    near_integer_a: float = 1e-6
+    target_tol: float = 1e-12
     small_a_cutoff: float = 0.02
     direct_cheap_terms: int = 50_000
     levin_max_order: int = 90
@@ -160,8 +149,6 @@ class StrategyConfig:
     def __post_init__(self):
         if not self.sigma_lo < self.sigma_hi:
             raise DomainError("sigma_lo must be below sigma_hi")
-        if self.max_terms < 64:
-            raise DomainError("max_terms must be at least 64")
 
 
 DEFAULT_CONFIG = StrategyConfig()
@@ -539,79 +526,85 @@ def _lpm_reflected_cell(s: complex, a: np.ndarray, c: np.ndarray,
     return lp, lm, err
 
 
-def _lpm_engine(s: complex, a: np.ndarray, c: np.ndarray,
-                cfg: StrategyConfig, tol: float):
-    """(L^+, L^-, error, strategy) on arbitrary non-grid real (a, c)."""
-    s = complex(s)
-    a_red, c_red, phase = _reduce_to_cell(a, c)
-    bad_a = np.abs(a_red - np.round(a_red)) <= _INT_TOL
-    bad_c = np.abs(c_red - np.round(c_red)) <= _INT_TOL
-    if np.any(bad_a) or np.any(bad_c):
-        raise DegenerateParameterError(
-            "L^+/L^- need non-integer a and c (two-sided series degenerates)")
-    if s.real <= cfg.sigma_lo:
-        lp, lm, err = _lpm_reflected_cell(s, a_red, c_red, cfg, tol)
-        strat = Strategy.REFLECTED
-    else:
-        lp, lm, err = _lpm_series_cell(s, a_red, c_red, cfg, tol)
-        strat = Strategy.ACCELERATED
-    return phase * lp, phase * lm, err, strat
+def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
+            cfg: StrategyConfig, tol: float):
+    """(values, errors, strategy) on arbitrary real (a, c).
 
-
-def _zeta_star_engine(s: complex, a: np.ndarray, c: np.ndarray,
-                      cfg: StrategyConfig, tol: float):
-    """zeta_star on arbitrary real (a, c), integer c excluded.
-
-    Integer a goes through the Hurwitz path directly (valid for all
-    s != 1); other points use the series strategies above sigma_lo and the
-    L-pair reflection below it.
+    ``parity`` None gives zeta_star, Parity.PLUS or Parity.MINUS the
+    matching member of the L-pair, which needs non-integer a and c.
+    Above sigma_lo zeta_star is the one-sided series on the cell and the
+    L-pair its two halves; at or below it the L-pair is reflected, and
+    zeta_star is (L^+ + L^-)/2 there except at integer a, which keeps the
+    Hurwitz path (valid for all s != 1).
     """
     s = complex(s)
     a_red, c_red, phase = _reduce_to_cell(a, c)
     is_int_a = np.abs(a_red - np.round(a_red)) <= _INT_TOL
-    values = np.zeros(a_red.shape, dtype=np.complex128)
-    errors = np.zeros(a_red.shape, dtype=float)
-    strat = Strategy.ACCELERATED
-    if np.any(is_int_a):
-        v, e = _hurwitz_em(s, c_red[is_int_a], tol)
-        values[is_int_a], errors[is_int_a] = v, e
-    rest = ~is_int_a
-    if np.any(rest):
-        if s.real <= cfg.sigma_lo:
+    reflect = s.real <= cfg.sigma_lo
+    strategy = Strategy.REFLECTED if reflect else Strategy.ACCELERATED
+    if parity is not None:
+        if np.any(is_int_a) or np.any(np.abs(c_red - np.round(c_red)) <= _INT_TOL):
+            raise DegenerateParameterError(
+                "L^+/L^- need non-integer a and c (two-sided series degenerates)")
+        cell = _lpm_reflected_cell if reflect else _lpm_series_cell
+        lp, lm, errors = cell(s, a_red, c_red, cfg, tol)
+        values = lp if parity is Parity.PLUS else lm
+    elif not reflect:
+        values, errors = _phi_dispatch(s, a_red, c_red, cfg, tol)
+    else:
+        values = np.zeros(a_red.shape, dtype=np.complex128)
+        errors = np.zeros(a_red.shape, dtype=float)
+        if np.any(is_int_a):
+            v, e = _hurwitz_em(s, c_red[is_int_a], tol)
+            values[is_int_a], errors[is_int_a] = v, e
+        rest = ~is_int_a
+        if np.any(rest):
             lp, lm, err = _lpm_reflected_cell(s, a_red[rest], c_red[rest],
                                               cfg, tol)
             values[rest] = 0.5 * (lp + lm)
             errors[rest] = err
-            strat = Strategy.REFLECTED
         else:
-            v, e = _phi_dispatch(s, a_red[rest], c_red[rest], cfg, tol)
-            values[rest], errors[rest] = v, e
-    return phase * values, errors, strat
+            strategy = Strategy.ACCELERATED
+    return phase * values, errors, strategy
+
+
+def _at_point(parity: Parity | None, p: LerchParams,
+              cfg: StrategyConfig) -> EvalResult:
+    """The engine at one point, with the configured tolerance."""
+    values, errors, strategy = _engine(
+        parity, p.s, np.array([p.a], dtype=float), np.array([p.c], dtype=float),
+        cfg, cfg.target_tol)
+    return EvalResult(complex(values[0]), float(errors[0]), strategy)
+
+
+def _on_arrays(parity: Parity | None, s: complex, a, c,
+               cfg: StrategyConfig | None, tol: float | None):
+    """The engine over broadcast arrays; returns (values, errors)."""
+    cfg = cfg or DEFAULT_CONFIG
+    tol = cfg.target_tol if tol is None else tol
+    a_arr, c_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                       np.asarray(c, dtype=float))
+    _require_finite(s=s, a=a_arr, c=c_arr)
+    shape = a_arr.shape
+    values, errors, _ = _engine(parity, s, a_arr.ravel().copy(),
+                                c_arr.ravel().copy(), cfg, tol)
+    return values.reshape(shape), errors.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def zeta_direct(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
+def _zeta_direct(p: LerchParams, tol: float) -> EvalResult:
     """Truncated direct summation with the absolute integral tail bound.
 
-    Only valid in the absolute-convergence region Re(s) > 1, c > 0; raises
-    :class:`NonConvergenceError` when the bound cannot reach ``target_tol``
-    within ``max_terms`` terms.
+    Reached only through :func:`_direct_is_cheap`, which guarantees
+    Re(s) > 1, c > 0 and a term count within ``direct_cheap_terms``.
     """
-    cfg = cfg or DEFAULT_CONFIG
     s = complex(p.s)
     sigma = s.real
-    if sigma <= 1.0 or p.c <= 0.0:
-        raise DomainError("zeta_direct requires Re(s) > 1 and c > 0")
-    tol = cfg.target_tol
     # sum_{n>=N} (n+c)^(-sigma) <= (N-1+c)^(1-sigma)/(sigma-1)
     needed = ((sigma - 1.0) * tol) ** (-1.0 / (sigma - 1.0)) + 1.0 - p.c
-    if needed > cfg.max_terms:
-        raise NonConvergenceError(
-            f"absolute tail bound needs ~{needed:.3g} terms "
-            f"(max_terms = {cfg.max_terms})")
     N = int(max(8, math.ceil(needed)))
     total = 0.0 + 0.0j
     chunk = 500_000
@@ -625,8 +618,9 @@ def zeta_direct(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult
 
 
 def _direct_is_cheap(p: LerchParams, cfg: StrategyConfig) -> bool:
-    """Whether plain summation at (s, a, c) is the dispatch choice:
-    non-integer a, Re(s) >= sigma_hi, and a tail bound within reach."""
+    """Whether plain summation of the one-sided series at p, the point
+    summed, is the dispatch choice: non-integer a, Re(s) >= sigma_hi, and
+    a tail bound within reach."""
     sigma = complex(p.s).real
     if p.a_integral or sigma < cfg.sigma_hi or sigma <= 1.0:
         return False
@@ -643,19 +637,16 @@ def lerch_star(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
     """
     cfg = cfg or DEFAULT_CONFIG
     s = complex(p.s)
-    if p.c_integral and abs(s - 1.0) <= _INT_TOL:
-        raise DegenerateParameterError("simple pole at s = 1 on integer lines")
     if p.a_integral and abs(s - 1.0) <= _INT_TOL:
         raise DegenerateParameterError("simple pole at s = 1 on integer lines")
-    a = np.array([p.a], dtype=float)
-    c = np.array([p.c], dtype=float)
-    if _direct_is_cheap(p, cfg):
-        a_red, c_red, phase = _reduce_to_cell(a, c)
-        inner = zeta_direct(LerchParams(s, float(a_red[0]), float(c_red[0])), cfg)
+    a_red, c_red, phase = _reduce_to_cell(np.array([p.a], dtype=float),
+                                          np.array([p.c], dtype=float))
+    cell = LerchParams(s, float(a_red[0]), float(c_red[0]))
+    if _direct_is_cheap(cell, cfg):
+        inner = _zeta_direct(cell, cfg.target_tol)
         return EvalResult(complex(phase[0]) * inner.value, inner.error_estimate,
                           Strategy.DIRECT_SERIES)
-    values, errors, strat = _zeta_star_engine(s, a, c, cfg, cfg.target_tol)
-    return EvalResult(complex(values[0]), float(errors[0]), strat)
+    return _at_point(None, p, cfg)
 
 
 def lerch_star_many(s: complex, a, c, cfg: StrategyConfig | None = None,
@@ -665,15 +656,7 @@ def lerch_star_many(s: complex, a, c, cfg: StrategyConfig | None = None,
     This is the engine entry used by the twisted-function layer; it skips
     the direct-summation gate and always uses the continuation strategies.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    tol = cfg.target_tol if tol is None else tol
-    a_arr, c_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                       np.asarray(c, dtype=float))
-    _require_finite(s=s, a=a_arr, c=c_arr)
-    shape = a_arr.shape
-    values, errors, _ = _zeta_star_engine(complex(s), a_arr.ravel().copy(),
-                                          c_arr.ravel().copy(), cfg, tol)
-    return values.reshape(shape), errors.reshape(shape)
+    return _on_arrays(None, s, a, c, cfg, tol)
 
 
 def lerch_zeta(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
@@ -693,7 +676,7 @@ def lerch_zeta(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
     s = complex(p.s)
     if s.real > cfg.sigma_lo:
         if _direct_is_cheap(p, cfg):
-            return zeta_direct(p, cfg)
+            return _zeta_direct(p, cfg.target_tol)
         v, e = _phi_dispatch(s, np.array([p.a]), np.array([p.c]), cfg,
                              cfg.target_tol)
         return EvalResult(complex(v[0]), float(e[0]), Strategy.ACCELERATED)
@@ -714,71 +697,13 @@ def L_pm(p: LerchParams, parity: Parity,
     variant; both are assembled from the same pair of one-sided values, so
     the identity L^+ + L^- = 2 zeta_star holds by construction.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if p.a_integral or p.c_integral:
-        raise DegenerateParameterError("L^+/L^- need non-integer a and c")
-    lp, lm, err, strat = _lpm_engine(p.s, np.array([p.a]), np.array([p.c]),
-                                     cfg, cfg.target_tol)
-    value = lp[0] if parity is Parity.PLUS else lm[0]
-    return EvalResult(complex(value), float(err[0]), strat)
+    return _at_point(parity, p, cfg or DEFAULT_CONFIG)
 
 
 def l_pm_many(s: complex, parity: Parity, a, c,
               cfg: StrategyConfig | None = None, tol: float | None = None):
     """Vectorized L^+/L^- over broadcast arrays; returns (values, errors)."""
-    cfg = cfg or DEFAULT_CONFIG
-    tol = cfg.target_tol if tol is None else tol
-    a_arr, c_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                       np.asarray(c, dtype=float))
-    _require_finite(s=s, a=a_arr, c=c_arr)
-    shape = a_arr.shape
-    lp, lm, err, _ = _lpm_engine(complex(s), a_arr.ravel().copy(),
-                                 c_arr.ravel().copy(), cfg, tol)
-    vals = lp if parity is Parity.PLUS else lm
-    return vals.reshape(shape), err.reshape(shape)
-
-
-def eval_strip(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
-    """Acceleration of the conditionally convergent series, Re(s) > 0.
-
-    Pure oscillatory-series route (decimation + Levin); rejects a within
-    ``near_integer_a`` of an integer, where conditional convergence
-    degrades.  Raises :class:`AccelerationFailureError` if the transforms
-    do not stabilize below ``target_tol``.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    s = complex(p.s)
-    if s.real <= 0.0:
-        raise DomainError("eval_strip requires Re(s) > 0")
-    if abs(p.a - round(p.a)) < cfg.near_integer_a:
-        raise DomainError(
-            f"eval_strip requires a at least {cfg.near_integer_a:g} from integers")
-    if p.c <= 0.0:
-        raise DomainError("eval_strip requires c > 0")
-    v, e = _phi_oscillatory(s, np.array([p.a]), np.array([p.c]),
-                            cfg.target_tol, max_order=cfg.levin_max_order)
-    return EvalResult(complex(v[0]), float(e[0]), Strategy.ACCELERATED)
-
-
-def eval_reflected(p: LerchParams, parity: Parity,
-                   cfg: StrategyConfig | None = None) -> EvalResult:
-    """L^pm(s, a, c) through the functional equation, for Re(s) < sigma_lo.
-
-    Computes w_pm gamma^pm(1-s) e^(-2 pi i a c) L^pm(1-s, 1-c, a), with
-    the inner pair evaluated in its convergent regime.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    s = complex(p.s)
-    if s.real >= cfg.sigma_lo:
-        raise DomainError("eval_reflected requires Re(s) < sigma_lo")
-    if p.a_integral or p.c_integral:
-        raise DegenerateParameterError("L^+/L^- need non-integer a and c")
-    a = np.array([p.a], dtype=float)
-    c = np.array([p.c], dtype=float)
-    a_red, c_red, phase = _reduce_to_cell(a, c)
-    lp, lm, err = _lpm_reflected_cell(s, a_red, c_red, cfg, cfg.target_tol)
-    value = (lp if parity is Parity.PLUS else lm)[0] * phase[0]
-    return EvalResult(complex(value), float(err[0]), Strategy.REFLECTED)
+    return _on_arrays(parity, s, a, c, cfg, tol)
 
 
 def lpm_is_identically_zero(s: complex, parity: Parity) -> bool:

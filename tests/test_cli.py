@@ -65,6 +65,13 @@ class TestEval:
         assert out == ""
         assert f"{flag[2:]} must be finite" in err
 
+    def test_s_1_on_integer_c_is_not_a_pole(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--function", "zeta",
+                               "--s", "1,0", "--a", "0.5", "--c", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["value"][0] - math.log(2)) <= payload["error_estimate"]
+
     def test_hurwitz(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--function", "hurwitz",
                                "--s", "2", "--a", "0", "--c", "0.5")
