@@ -19,12 +19,11 @@ from .special_functions import (
     tate_gamma,
 )
 from .lerch_core import (
-    DEFAULT_CONFIG,
+    TARGET_TOL,
     EvalResult,
     L_pm,
     LerchParams,
     Strategy,
-    StrategyConfig,
     completed_L,
     hurwitz,
     hurwitz_many,
@@ -42,7 +41,6 @@ from .twisted_space import (
     TwistedFn,
     apply_R,
     apply_hecke,
-    dilation_1d,
     kubert_1d,
     l_pm_twisted,
     lerch_star_twisted,
@@ -50,7 +48,6 @@ from .twisted_space import (
 )
 from .diff_ops import (
     StencilConfig,
-    StencilOrder,
     apply_D,
     commutator_residual,
     raising_lowering_scan,

@@ -38,6 +38,10 @@ __all__ = ["levin_sum", "LevinResult"]
 
 _SAFETY = 8.0
 _TINY = 1e-300
+# the u-transform's shift: omega_n = (_BETA + n) t_n
+_BETA = 1.0
+# no sum stops before this order
+_MIN_ORDER = 6
 # a block holds _BLOCK_TERMS terms, cut so that it holds at most
 # _BLOCK_VALUES point values: from 2048 points up it is one term
 _BLOCK_TERMS = 8
@@ -58,7 +62,7 @@ class LevinResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _factors(max_order: int, beta: float) -> np.ndarray:
+def _factors(max_order: int) -> np.ndarray:
     """Read-only table f[k, j] of the recursion factors, k >= 1."""
     table = np.zeros((max_order, max_order))
     for k in range(1, max_order):
@@ -66,8 +70,8 @@ def _factors(max_order: int, beta: float) -> np.ndarray:
             if k == 1:
                 factor = 1.0
             else:
-                base = (beta + j + k - 1.0) / (beta + j + k)
-                factor = (beta + j) / (beta + j + k) * base ** (k - 2)
+                base = (_BETA + j + k - 1.0) / (_BETA + j + k)
+                factor = (_BETA + j) / (_BETA + j + k) * base ** (k - 2)
             table[k, j] = factor
     table.setflags(write=False)
     return table
@@ -78,8 +82,6 @@ def levin_sum(
     shape: tuple[int, ...],
     tol: float | np.ndarray,
     max_order: int = 80,
-    beta: float = 1.0,
-    min_order: int = 6,
 ) -> LevinResult:
     """Accelerate sum_{n>=0} t_n with the Levin u-transform.
 
@@ -87,14 +89,14 @@ def levin_sum(
     return the terms t_idx as an array of shape ``idx.shape + shape``.
     ``tol`` is one tolerance for every point or an array of per-point
     tolerances that broadcasts to ``shape``; the sum stops at the first
-    order (from ``min_order`` on) where every point's estimate is at or
+    order (from ``_MIN_ORDER`` on) where every point's estimate is at or
     below its own tolerance.  Raises :class:`AccelerationFailureError`
     when some point fails to get there within ``max_order`` terms; the
     partially converged value and estimate ride along on the exception.
     """
     tols = np.broadcast_to(np.asarray(tol, dtype=float), shape)
     block = max(1, min(_BLOCK_TERMS, _BLOCK_VALUES // max(1, math.prod(shape))))
-    factors = _factors(max_order, beta)
+    factors = _factors(max_order)
     per_term = (-1,) + (1,) * len(shape)   # broadcast over a block's terms
     per_row = per_term + (1,)              # ... and over (num, den) rows
     # table[j] = (numerator, denominator) of E(n - j, j) after term n; a
@@ -122,7 +124,7 @@ def levin_sum(
         sums = np.empty_like(terms)
         for i, t_n in enumerate(terms):
             partial = np.add(partial, t_n, out=sums[i, ...])
-        omega = (beta + idx).reshape(per_term) * terms
+        omega = (_BETA + idx).reshape(per_term) * terms
         omega = np.where(np.abs(omega) < _TINY, _TINY, omega)
         table[n0:n1, 0] = sums / omega
         table[n0:n1, 1] = 1.0 / omega
@@ -152,7 +154,7 @@ def levin_sum(
                 improved = est < err
                 best = np.where(improved, val, best)
                 err = np.where(improved, est, err)
-                if n >= min_order and np.all(err <= tols):
+                if n >= _MIN_ORDER and np.all(err <= tols):
                     return LevinResult(best, err, n + 1)
             prev2 = prev1
             prev1 = val

@@ -8,16 +8,16 @@ failure, 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .errors import DomainError, IdentityViolationError, LerchLabError
 from .lerch_core import (
+    TARGET_TOL,
     EvalResult,
     LerchParams,
-    StrategyConfig,
     L_pm,
+    _require_tol,
     completed_L,
     hurwitz,
     lerch_star,
@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--c", type=float, required=True)
     p_eval.add_argument("--parity", choices=("+", "-"), default="+",
                         help="parity for L / L-hat")
-    p_eval.add_argument("--tol", type=float, default=None,
-                        help="target tolerance (default 1e-12)")
+    p_eval.add_argument("--tol", type=float, default=TARGET_TOL,
+                        help="target tolerance, finite and > 0 "
+                             f"(default {TARGET_TOL:g})")
 
     p_verify = sub.add_parser("verify", help="run identity check groups")
     p_verify.add_argument("--group", action="append", default=None,
@@ -90,22 +91,20 @@ def _print_eval(result: EvalResult):
 
 def _cmd_eval(args) -> int:
     s = _parse_complex(args.s)
-    cfg = StrategyConfig()
-    if args.tol is not None:
-        cfg = dataclasses.replace(cfg, target_tol=args.tol)
     params = LerchParams(s, args.a, args.c)
-    parity = Parity.from_string(args.parity)
+    _require_tol(args.tol)
+    parity = Parity(args.parity)
     try:
         if args.function == "zeta":
-            result = lerch_zeta(params, cfg)
+            result = lerch_zeta(params, args.tol)
         elif args.function == "zeta-star":
-            result = lerch_star(params, cfg)
+            result = lerch_star(params, args.tol)
         elif args.function == "L":
-            result = L_pm(params, parity, cfg)
+            result = L_pm(params, parity, args.tol)
         elif args.function == "L-hat":
-            result = completed_L(params, parity, cfg)
+            result = completed_L(params, parity, args.tol)
         else:
-            result = hurwitz(s, args.c, cfg)
+            result = hurwitz(s, args.c, args.tol)
     except LerchLabError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

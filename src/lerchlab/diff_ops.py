@@ -8,8 +8,8 @@ Operators on twisted-periodic functions F(a, c):
     D_L     = D_minus D_plus = (1/2 pi i) d2/dadc + c d/dc
     Delta_L = (D_plus D_minus + D_minus D_plus)/2 = D_L + I/2
 
-Derivatives are central differences (second or fourth order) applied to
-the extension of the function, so the same code path serves any
+Derivatives are fourth-order central differences applied to the
+extension of the function, so the same code path serves any
 TwistedFn; the raising/lowering identities on the Lerch family provide an
 independent series-side cross check.  Mixed partials use the tensor
 product of the one-dimensional stencils (the functions under test are
@@ -19,7 +19,6 @@ immaterial).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, LatticePointError, UnknownRelationError
-from .lerch_core import StrategyConfig, DEFAULT_CONFIG
 from .report import ReportRecord
 from .special_functions import Parity
 from .twisted_space import (
@@ -41,7 +39,6 @@ from .twisted_space import (
 )
 
 __all__ = [
-    "StencilOrder",
     "StencilConfig",
     "apply_D",
     "commutator_residual",
@@ -51,21 +48,15 @@ __all__ = [
 TWO_PI_I = 2j * math.pi
 
 
-class StencilOrder(enum.Enum):
-    SECOND = 2
-    FOURTH = 4
-
-
 @dataclass
 class StencilConfig:
-    """Central-difference step and order.
+    """Step of the fourth-order central differences.
 
     ``h`` must keep (a +- 2h, c +- 2h) off the discontinuity lattice at
     the evaluation points; violations raise :class:`LatticePointError`.
     """
 
     h: float = 1e-4
-    order: StencilOrder = StencilOrder.FOURTH
 
     def __post_init__(self):
         if self.h < 1e-8:
@@ -88,19 +79,14 @@ def _d_axis(f: PointFn, axis: int, cfg: StencilConfig) -> PointFn:
             return f(a + delta, c)
         return f(a, c + delta)
 
-    if cfg.order is StencilOrder.SECOND:
-        def deriv(a, c):
-            return (shifted(a, c, h) - shifted(a, c, -h)) / (2.0 * h)
-    else:
-        def deriv(a, c):
-            return (-shifted(a, c, 2 * h) + 8.0 * shifted(a, c, h)
-                    - 8.0 * shifted(a, c, -h) + shifted(a, c, -2 * h)) / (12.0 * h)
+    def deriv(a, c):
+        return (-shifted(a, c, 2 * h) + 8.0 * shifted(a, c, h)
+                - 8.0 * shifted(a, c, -h) + shifted(a, c, -2 * h)) / (12.0 * h)
     return deriv
 
 
 def _d_mixed(f: PointFn, cfg: StencilConfig) -> PointFn:
-    # tensor product of the 1-d stencils: 4 points at second order,
-    # 16 at fourth
+    # tensor product of the 1-d stencils: 16 points
     return _d_axis(_d_axis(f, 1, cfg), 0, cfg)
 
 
@@ -240,11 +226,7 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
     anything else raises :class:`UnknownRelationError`.
     """
     cfg = cfg or StencilConfig()
-    b_index = B.index if B.kind is OperatorKind.R_POW else None
-    b_kind = B.kind if B.kind is not OperatorKind.J else OperatorKind.R_POW
-    if B.kind is OperatorKind.J:
-        b_index = 2
-    key = (A.kind, b_kind, b_index)
+    key = (A.kind, B.kind, B.index if B.kind is OperatorKind.R_POW else None)
     if key not in _RELATIONS:
         raise UnknownRelationError(
             f"no verified relation for ({A.kind.value}, {B.kind.value})")
@@ -261,7 +243,7 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
     return ReportRecord.timed(
         f"commutator:{name}",
         {"A": A.kind.value, "B": B.kind.value, "h": cfg.h,
-         "order": cfg.order.value, "points": len(points)},
+         "order": 4, "points": len(points)},
         tolerance, residual)
 
 
@@ -271,8 +253,7 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
 
 def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
                           cfg: StencilConfig | None = None,
-                          tolerance: float = 1e-5,
-                          eval_cfg: StrategyConfig | None = None) -> ReportRecord:
+                          tolerance: float = 1e-5) -> ReportRecord:
     """Verify the parity-flipping shift actions on the L-basis.
 
     D_minus L_s^pm = L_{s-1}^mp and D_plus L_s^pm = -s L_{s+1}^mp, with
@@ -282,7 +263,6 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
     from .lerch_core import lpm_is_identically_zero
 
     cfg = cfg or StencilConfig()
-    eval_cfg = eval_cfg or DEFAULT_CONFIG
     s = complex(s)
     for shift in (-1.0, 0.0, 1.0):
         for parity in (Parity.PLUS, Parity.MINUS):
@@ -297,9 +277,9 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
         worst = 0.0
         flip = {Parity.PLUS: Parity.MINUS, Parity.MINUS: Parity.PLUS}
         for parity in (Parity.PLUS, Parity.MINUS):
-            Ls = l_pm_twisted(s, parity, eval_cfg)
-            down = l_pm_twisted(s - 1, flip[parity], eval_cfg)
-            up = l_pm_twisted(s + 1, flip[parity], eval_cfg)
+            Ls = l_pm_twisted(s, parity)
+            down = l_pm_twisted(s - 1, flip[parity])
+            up = l_pm_twisted(s + 1, flip[parity])
             lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, cfg)
             raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, cfg)
             worst = max(worst,

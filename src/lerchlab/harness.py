@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diff_ops import StencilConfig, StencilOrder, apply_D, commutator_residual, \
+from .diff_ops import StencilConfig, apply_D, commutator_residual, \
     raising_lowering_scan
 from .eigenspace import build_eigenspace, characterize, dependency_residual, j_split
 from .errors import DomainError, IdentityViolationError
@@ -146,15 +146,15 @@ def _grid_a_refined(m: int, points_per_panel: int = 20) -> QuadratureGrid:
     return rectangle_grid(max(4, 2 * m), 4, points_per_panel)
 
 
-def adjoint_check(m: int, trials: int, grid: QuadratureGrid | None = None,
+def adjoint_check(m: int, trials: int,
                   rng: np.random.Generator | None = None,
                   tolerance: float = 1e-7) -> ReportRecord:
     """|<T_m f, g> - <f, S_m g>| / (||f|| ||g||) over random smooth pairs."""
     if m > 8:
         raise DomainError("adjoint_check supports m <= 8 (quadrature cost)")
     rng = rng or np.random.default_rng(42)
-    grid_t = grid or _grid_c_refined(m)
-    grid_s = grid or _grid_a_refined(m)
+    grid_t = _grid_c_refined(m)
+    grid_s = _grid_a_refined(m)
 
     def residual() -> float:
         worst = 0.0
@@ -174,14 +174,13 @@ def adjoint_check(m: int, trials: int, grid: QuadratureGrid | None = None,
 
 
 def norm_identity_check(m: int, trials: int,
-                        grid: QuadratureGrid | None = None,
                         rng: np.random.Generator | None = None,
                         tolerance: float = 1e-8) -> ReportRecord:
     """| ||T_m f||_2 - m^(-1/2) ||f||_2 | / ||f||_2 (unitarity of sqrt(m) T_m)."""
     if m > 8:
         raise DomainError("norm_identity_check supports m <= 8")
     rng = rng or np.random.default_rng(42)
-    grid = grid or _grid_c_refined(m)
+    grid = _grid_c_refined(m)
 
     def residual() -> float:
         worst = 0.0
@@ -198,21 +197,20 @@ def norm_identity_check(m: int, trials: int,
 
 
 def lp_bound_check(m: int, p: float, trials: int,
-                   rng: np.random.Generator | None = None,
-                   sup_samples: int = 10_000) -> ReportRecord:
+                   rng: np.random.Generator | None = None) -> ReportRecord:
     """Verify ||T_m f||_p <= m ||f||_p and the same for S_m (slack reported).
 
     The residual is max(ratio/m) - 1 clipped at 0, so any positive value
-    is a genuine violation; p = inf uses a sampled supremum (a lower
-    bound on the true sup for both sides).
+    is a genuine violation; p = inf uses a supremum sampled at 10^4
+    points (a lower bound on the true sup for both sides).
     """
     rng = rng or np.random.default_rng(42)
 
     def residual() -> float:
         worst = 0.0
         if math.isinf(p):
-            xs = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
-            ys = rng.uniform(1e-3, 1.0 - 1e-3, sup_samples)
+            xs = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
+            ys = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
 
             def norm(F: TwistedFn) -> float:
                 return float(np.max(np.abs(F.extend(xs, ys))))
@@ -276,7 +274,6 @@ DEFAULT_SUITE_CONFIG: dict = {
     "zeta_op_M": 200,
     "zeta_op_s": 3.0,
     "zeta_op_points": 10,
-    "deterministic_timing": False,
 }
 
 
@@ -310,8 +307,6 @@ def _parse_scalar(tok: str):
             return cast(tok)
         except ValueError:
             continue
-    if tok.lower() in ("true", "false"):
-        return tok.lower() == "true"
     return tok
 
 
@@ -320,8 +315,6 @@ def _parse_value(value: str, template):
         if not value:
             return []
         return [_parse_scalar(tok.strip()) for tok in value.split(",")]
-    if isinstance(template, bool):
-        return value.lower() in ("1", "true", "yes", "on")
     return _parse_scalar(value)
 
 
@@ -565,7 +558,7 @@ def group_commutators(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
     f = smooth_twisted_fn(rng, label="commutator-test")
     pts = [(rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85))
            for _ in range(12)]
-    scfg = StencilConfig(h=h, order=StencilOrder.FOURTH)
+    scfg = StencilConfig(h=h)
     pairs = [
         (OperatorSpec(OperatorKind.D_PLUS), OperatorSpec(OperatorKind.D_MINUS)),
         (OperatorSpec(OperatorKind.D_PLUS), OperatorSpec(OperatorKind.R_POW, 1)),
@@ -582,7 +575,7 @@ def group_commutators(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
         B = OperatorSpec(OperatorKind.R_POW, 1)
         res = []
         for hh in (h0, h0 / 2):
-            scfg_h = StencilConfig(h=hh, order=StencilOrder.FOURTH)
+            scfg_h = StencilConfig(h=hh)
             r = commutator_residual(A, B, f, pts, scfg_h, tol)
             res.append(max(r.residual, 1e-300))
         order = math.log2(res[0] / res[1])
@@ -634,8 +627,8 @@ def group_differential_eigen(cfg: dict,
     n_pts = int(cfg["eigen_points"])
     # first-order stencils tolerate a fine step; the mixed partial in D_L
     # wants a coarser one so series noise stays below its h^-2 weight
-    scan_cfg = StencilConfig(h=1e-4, order=StencilOrder.FOURTH)
-    scfg = StencilConfig(h=1e-3, order=StencilOrder.FOURTH)
+    scan_cfg = StencilConfig(h=1e-4)
+    scfg = StencilConfig(h=1e-3)
     for s in cfg["eigen_s"]:
         s = complex(s)
         pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
@@ -882,20 +875,19 @@ def run_suite(config_path: str | Path | None = None,
               json_path: str | Path | None = None,
               csv_path: str | Path | None = None,
               seed: int | None = None,
-              deterministic_timing: bool | None = None) -> tuple[int, list[ReportRecord]]:
+              deterministic_timing: bool = False) -> tuple[int, list[ReportRecord]]:
     """Run the selected check groups; returns (exit_code, records).
 
     Writes a JSON array of records and a CSV summary when paths are
-    given.  Exit code 0 iff all records passed, 1 on any failure; config
-    errors raise DomainError (mapped to exit 2 by the CLI).
+    given; ``deterministic_timing`` zeroes every record's runtime_ms.
+    Exit code 0 iff all records passed, 1 on any failure; config errors
+    raise DomainError (mapped to exit 2 by the CLI).
     """
     cfg = load_config(config_path)
     if groups is not None:
         cfg["groups"] = list(groups)
     if seed is not None:
         cfg["seed"] = int(seed)
-    if deterministic_timing is not None:
-        cfg["deterministic_timing"] = bool(deterministic_timing)
     unknown = [g for g in cfg["groups"] if g not in CHECK_GROUPS]
     if unknown:
         raise DomainError(f"unknown check groups: {unknown}")
@@ -906,7 +898,7 @@ def run_suite(config_path: str | Path | None = None,
         # results do not depend on which groups are selected
         rng = np.random.default_rng(int(cfg["seed"]))
         records.extend(CHECK_GROUPS[name](cfg, rng))
-    if cfg["deterministic_timing"]:
+    if deterministic_timing:
         for r in records:
             r.runtime_ms = 0
     if json_path is not None:

@@ -10,16 +10,16 @@ continuation.  Evaluation strategies, per point:
 
 * integer ``a``: the sum is a Hurwitz zeta value; Euler-Maclaurin, valid
   for every s != 1.
-* ``a`` within ``small_a_cutoff`` of an integer: expansion of the series
+* ``a`` within ``_SMALL_A_CUTOFF`` of an integer: expansion of the series
   around the degenerate point in powers of the offset, with Hurwitz zeta
   coefficients (a Hurwitz splitting of the slowly oscillating sum).
 * oscillatory ``a``: Levin u-acceleration of the partial sums, after a
   decimation step that splits the series into m interleaved subseries so
   the effective multiplier e^(2 pi i m a) sits near the optimally
   conditioned point -1.
-* Re(s) <= ``sigma_lo`` with non-integer a: reflection through the
+* Re(s) <= ``_SIGMA_LO`` with non-integer a: reflection through the
   functional equation to 1 - s, where the series strategies apply.
-* Re(s) >= ``sigma_hi`` when the absolute tail bound is cheap at the
+* Re(s) >= ``_SIGMA_HI`` when the absolute tail bound is cheap at the
   point summed: plain truncated summation (the only strategy whose error
   estimate is the absolute tail bound rather than a stabilization or
   remainder estimate).  Only the scalar entries ``lerch_star`` and
@@ -32,8 +32,13 @@ completed functions multiply in the archimedean gamma factor.  Bases
 ambiguity.  One private engine, ``_engine``, evaluates zeta_star (kind
 None) and L^+/L^- (kind Parity.PLUS / Parity.MINUS) on arrays.
 ``lerch_star``, ``lerch_star_many``, ``L_pm`` and ``l_pm_many`` wrap it;
-``lerch_zeta`` at c > 1 and Re(s) > sigma_lo sums the one-sided series at
+``lerch_zeta`` at c > 1 and Re(s) > _SIGMA_LO sums the one-sided series at
 c itself.
+
+The one setting is the target tolerance: every public evaluator takes
+``tol`` (``TARGET_TOL`` by default, 1e-13 for ``hurwitz_many`` and
+``riemann_zeta``) and raises :class:`DomainError` unless it is finite
+and positive.
 """
 
 from __future__ import annotations
@@ -56,8 +61,7 @@ __all__ = [
     "Strategy",
     "LerchParams",
     "EvalResult",
-    "StrategyConfig",
-    "DEFAULT_CONFIG",
+    "TARGET_TOL",
     "lerch_star",
     "lerch_star_many",
     "L_pm",
@@ -72,12 +76,29 @@ _INT_TOL = 1e-14
 _EULER_GAMMA = 0.5772156649015328606
 TWO_PI = 2.0 * math.pi
 
+TARGET_TOL = 1e-12
+# Re(s) at or below _SIGMA_LO reflects; direct summation needs Re(s) >=
+# _SIGMA_HI and its tail bound within _DIRECT_CHEAP_TERMS terms at the
+# point summed, since near _SIGMA_HI that bound needs astronomically many
+# terms at tight tolerances
+_SIGMA_HI = 1.5
+_SIGMA_LO = -0.5
+_SMALL_A_CUTOFF = 0.02
+_DIRECT_CHEAP_TERMS = 50_000
+_LEVIN_MAX_ORDER = 90
+
 
 def _require_finite(**args) -> None:
     """Raise DomainError naming the first argument with a non-finite entry."""
     for name, x in args.items():
         if not np.isfinite(x).all():
             raise DomainError(f"{name} must be finite")
+
+
+def _require_tol(tol) -> None:
+    """Raise DomainError unless tol is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, not {tol!r}")
 
 
 class Strategy(enum.Enum):
@@ -106,10 +127,6 @@ class LerchParams:
     def a_integral(self) -> bool:
         return abs(self.a - round(self.a)) <= _INT_TOL
 
-    @property
-    def c_integral(self) -> bool:
-        return abs(self.c - round(self.c)) <= _INT_TOL
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -124,34 +141,6 @@ class EvalResult:
     value: complex
     error_estimate: float
     strategy: Strategy
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Evaluation thresholds and budgets.
-
-    ``sigma_hi``/``sigma_lo`` bound the direct-series and reflection
-    regimes; the strip in between is handled by acceleration.  Direct
-    summation is additionally gated on its absolute tail bound being
-    reachable within ``direct_cheap_terms`` terms at the point summed,
-    since near sigma_hi that bound needs astronomically many terms at
-    tight tolerances.  ``target_tol`` is the default tolerance; derive a
-    variant with ``dataclasses.replace(cfg, target_tol=...)``.
-    """
-
-    sigma_hi: float = 1.5
-    sigma_lo: float = -0.5
-    target_tol: float = 1e-12
-    small_a_cutoff: float = 0.02
-    direct_cheap_terms: int = 50_000
-    levin_max_order: int = 90
-
-    def __post_init__(self):
-        if not self.sigma_lo < self.sigma_hi:
-            raise DomainError("sigma_lo must be below sigma_hi")
-
-
-DEFAULT_CONFIG = StrategyConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +244,23 @@ def hurwitz_many(s: complex, x, tol: float = 1e-13):
     """Array version of :func:`hurwitz`; returns (values, error bounds)."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _require_finite(s=s, x=x_arr)
+    _require_tol(tol)
     vals, errs = _hurwitz_em(s, x_arr.ravel(), tol)
     return vals.reshape(x_arr.shape), errs.reshape(x_arr.shape)
 
 
-def hurwitz(s: complex, x: float, cfg: StrategyConfig | None = None) -> EvalResult:
+def hurwitz(s: complex, x: float, tol: float = TARGET_TOL) -> EvalResult:
     """Hurwitz zeta zeta_H(s, x) = zeta(s, 0, x) for x > 0, s != 1."""
-    cfg = cfg or DEFAULT_CONFIG
     _require_finite(s=s, x=x)
-    vals, errs = _hurwitz_em(s, np.array([float(x)]), cfg.target_tol)
+    _require_tol(tol)
+    vals, errs = _hurwitz_em(s, np.array([float(x)]), tol)
     return EvalResult(complex(vals[0]), float(errs[0]), Strategy.ACCELERATED)
 
 
 def riemann_zeta(s: complex, tol: float = 1e-13) -> complex:
     """Riemann zeta via the Hurwitz path (s != 1)."""
     _require_finite(s=s)
+    _require_tol(tol)
     vals, _ = _hurwitz_em(s, np.array([1.0]), tol)
     return complex(vals[0])
 
@@ -331,18 +322,27 @@ def _phi_small_a(s: complex, a_off: np.ndarray, c: np.ndarray, tol: float):
     values += lead
     errors += 4e-16 * np.abs(lead)
 
+    # the sum stops before the second of two small terms in a row: at
+    # integer s and c = 1/2 or 1, zeta_H(s-k, c) vanishes at s-k = -2, -4,
+    # ..., so one small term does not end the series.  The larger of the
+    # last term summed and the first one left out bounds the omitted tail
+    # crudely; the last term alone would be 0 after a vanishing one.
     wk = np.ones_like(w)  # w^k / k!
-    term = np.zeros_like(w)
+    term = left_out = np.zeros_like(w)
+    last_small = False
     for k in range(kmax + 1):
         if not (s_is_pos_int and k == m - 1):
             zh, zh_err = _hurwitz_em(s - k, c, tol)
-            term = zh * wk
+            nxt = zh * wk
+            small = k >= 2 and np.all(np.abs(nxt) < 0.25 * tol)
+            if small and last_small:
+                left_out = nxt
+                break
+            term, last_small = nxt, small
             values += term
             errors += zh_err * np.abs(wk) + 1e-16 * np.abs(term)
-            if k >= 2 and np.all(np.abs(term) < 0.25 * tol):
-                break
         wk = wk * w / (k + 1.0)
-    errors += np.abs(term)  # crude bound on the omitted tail
+    errors += np.maximum(np.abs(term), np.abs(left_out))
     twist = np.exp(-w * c)
     return twist * values, np.abs(twist) * errors
 
@@ -359,10 +359,10 @@ _LEVIN_BATCH = 4096
 
 
 def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray,
-               tol: float | np.ndarray, max_order: int = 90, head: int = 8):
+               tol: float | np.ndarray, max_order: int = _LEVIN_MAX_ORDER):
     """Levin-accelerated one-sided sum for well-separated a.
 
-    The first ``head`` terms are summed directly; Levin takes the rest.
+    The first 8 terms are summed directly; Levin takes the rest.
     ``tol`` is a scalar or one tolerance per point.  The phase is computed
     once per distinct a and the power once per distinct c of the batch.
     """
@@ -377,14 +377,14 @@ def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray,
         phase = _gather(np.exp(2j * math.pi * np.mod(n * a_u, 1.0)), a_inverse)
         return phase * _gather((n + c_u) ** (-s), c_inverse)
 
+    head = 8
     head_sum = np.sum(terms(np.arange(head)), axis=0)
     res = levin_sum(lambda idx: terms(head + idx), a.shape, tol,
                     max_order=max_order)
     return head_sum + res.value, res.error + 1e-16 * np.abs(head_sum)
 
 
-def _phi_oscillatory(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
-                     max_order: int = 90):
+def _phi_oscillatory(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     """Decimate into m interleaved subseries, then accelerate.
 
     zeta(s, a, c) = m^(-s) sum_{r<m} e^(2 pi i r a) zeta(s, m a, (r+c)/m),
@@ -412,7 +412,7 @@ def _phi_oscillatory(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
     for lo in range(0, inner_a.size, _LEVIN_BATCH):
         part = slice(lo, lo + _LEVIN_BATCH)
         sub_v[part], sub_e[part] = _phi_levin(s, inner_a[part], inner_c[part],
-                                              inner_tol[part], max_order)
+                                              inner_tol[part])
 
     values = np.zeros(a.shape, dtype=np.complex128)
     errors = np.zeros(a.shape, dtype=float)
@@ -436,15 +436,14 @@ def _phi_oscillatory(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# one-sided series: per-point path dispatch (requires Re(s) > sigma_lo)
+# one-sided series: per-point path dispatch (requires Re(s) > _SIGMA_LO)
 # ---------------------------------------------------------------------------
 
-def _phi_dispatch(s: complex, a: np.ndarray, c: np.ndarray,
-                  cfg: StrategyConfig, tol: float):
+def _phi_dispatch(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     """Analytic continuation of sum_{n>=0} e^(2 pi i n a)(n+c)^(-s), c > 0.
 
     Chooses the integer-a / small-offset / oscillatory path per point.
-    Callers reflect first for Re(s) <= sigma_lo; this routine itself is
+    Callers reflect first for Re(s) <= _SIGMA_LO; this routine itself is
     meaningful whenever the Levin resummation stabilizes (in practice down
     to moderately negative Re(s)).
     """
@@ -453,7 +452,7 @@ def _phi_dispatch(s: complex, a: np.ndarray, c: np.ndarray,
     a_off = a - np.round(a)
     dist = np.abs(a_off)
     is_int = dist <= _INT_TOL
-    is_small = (~is_int) & (dist < cfg.small_a_cutoff)
+    is_small = (~is_int) & (dist < _SMALL_A_CUTOFF)
     is_osc = ~(is_int | is_small)
 
     values = np.zeros(a.shape, dtype=np.complex128)
@@ -465,8 +464,7 @@ def _phi_dispatch(s: complex, a: np.ndarray, c: np.ndarray,
         v, e = _phi_small_a(s, a_off[is_small], c[is_small], tol)
         values[is_small], errors[is_small] = v, e
     if np.any(is_osc):
-        v, e = _phi_oscillatory(s, a[is_osc], c[is_osc], tol,
-                                max_order=cfg.levin_max_order)
+        v, e = _phi_oscillatory(s, a[is_osc], c[is_osc], tol)
         values[is_osc], errors[is_osc] = v, e
     return values, errors
 
@@ -488,15 +486,14 @@ def _reduce_to_cell(a: np.ndarray, c: np.ndarray):
     return a_red, c_red, phase
 
 
-def _lpm_series_cell(s: complex, a: np.ndarray, c: np.ndarray,
-                     cfg: StrategyConfig, tol: float):
+def _lpm_series_cell(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     """L^+ and L^- on the cell via the two one-sided halves.
 
     L^pm(s,a,c) = zeta(s,a,c) +- e^(-2 pi i a) zeta(s,1-a,1-c); both
     halves are returned so L^+ + L^- = 2 zeta_star holds by construction.
     """
     z, e = _phi_dispatch(s, np.concatenate([a, 1.0 - a]),
-                         np.concatenate([c, 1.0 - c]), cfg, tol)
+                         np.concatenate([c, 1.0 - c]), tol)
     za, zb = z[:a.size], z[a.size:]
     ea, eb = e[:a.size], e[a.size:]
     cross = np.exp(-2j * math.pi * a) * zb
@@ -504,15 +501,14 @@ def _lpm_series_cell(s: complex, a: np.ndarray, c: np.ndarray,
     return za + cross, za - cross, err
 
 
-def _lpm_reflected_cell(s: complex, a: np.ndarray, c: np.ndarray,
-                        cfg: StrategyConfig, tol: float):
+def _lpm_reflected_cell(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     """L^+ and L^- on the cell through the functional equation.
 
     L^pm(s,a,c) = w_pm gamma^pm(1-s) e^(-2 pi i a c) L^pm(1-s, 1-c, a),
     with the right-hand pair expanded in one-sided sums at 1-s.
     """
     sp = 1.0 - complex(s)
-    lp_in, lm_in, err_in = _lpm_series_cell(sp, 1.0 - c, a, cfg, tol)
+    lp_in, lm_in, err_in = _lpm_series_cell(sp, 1.0 - c, a, tol)
     gp = tate_gamma(sp, Parity.PLUS)
     gm = tate_gamma(sp, Parity.MINUS)
     if gp.is_pole or gm.is_pole:
@@ -527,12 +523,12 @@ def _lpm_reflected_cell(s: complex, a: np.ndarray, c: np.ndarray,
 
 
 def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
-            cfg: StrategyConfig, tol: float):
+            tol: float):
     """(values, errors, strategy) on arbitrary real (a, c).
 
     ``parity`` None gives zeta_star, Parity.PLUS or Parity.MINUS the
     matching member of the L-pair, which needs non-integer a and c.
-    Above sigma_lo zeta_star is the one-sided series on the cell and the
+    Above _SIGMA_LO zeta_star is the one-sided series on the cell and the
     L-pair its two halves; at or below it the L-pair is reflected, and
     zeta_star is (L^+ + L^-)/2 there except at integer a, which keeps the
     Hurwitz path (valid for all s != 1).
@@ -540,17 +536,17 @@ def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
     s = complex(s)
     a_red, c_red, phase = _reduce_to_cell(a, c)
     is_int_a = np.abs(a_red - np.round(a_red)) <= _INT_TOL
-    reflect = s.real <= cfg.sigma_lo
+    reflect = s.real <= _SIGMA_LO
     strategy = Strategy.REFLECTED if reflect else Strategy.ACCELERATED
     if parity is not None:
         if np.any(is_int_a) or np.any(np.abs(c_red - np.round(c_red)) <= _INT_TOL):
             raise DegenerateParameterError(
                 "L^+/L^- need non-integer a and c (two-sided series degenerates)")
         cell = _lpm_reflected_cell if reflect else _lpm_series_cell
-        lp, lm, errors = cell(s, a_red, c_red, cfg, tol)
+        lp, lm, errors = cell(s, a_red, c_red, tol)
         values = lp if parity is Parity.PLUS else lm
     elif not reflect:
-        values, errors = _phi_dispatch(s, a_red, c_red, cfg, tol)
+        values, errors = _phi_dispatch(s, a_red, c_red, tol)
     else:
         values = np.zeros(a_red.shape, dtype=np.complex128)
         errors = np.zeros(a_red.shape, dtype=float)
@@ -559,8 +555,7 @@ def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
             values[is_int_a], errors[is_int_a] = v, e
         rest = ~is_int_a
         if np.any(rest):
-            lp, lm, err = _lpm_reflected_cell(s, a_red[rest], c_red[rest],
-                                              cfg, tol)
+            lp, lm, err = _lpm_reflected_cell(s, a_red[rest], c_red[rest], tol)
             values[rest] = 0.5 * (lp + lm)
             errors[rest] = err
         else:
@@ -568,26 +563,23 @@ def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
     return phase * values, errors, strategy
 
 
-def _at_point(parity: Parity | None, p: LerchParams,
-              cfg: StrategyConfig) -> EvalResult:
-    """The engine at one point, with the configured tolerance."""
+def _at_point(parity: Parity | None, p: LerchParams, tol: float) -> EvalResult:
+    """The engine at one point."""
     values, errors, strategy = _engine(
         parity, p.s, np.array([p.a], dtype=float), np.array([p.c], dtype=float),
-        cfg, cfg.target_tol)
+        tol)
     return EvalResult(complex(values[0]), float(errors[0]), strategy)
 
 
-def _on_arrays(parity: Parity | None, s: complex, a, c,
-               cfg: StrategyConfig | None, tol: float | None):
+def _on_arrays(parity: Parity | None, s: complex, a, c, tol: float):
     """The engine over broadcast arrays; returns (values, errors)."""
-    cfg = cfg or DEFAULT_CONFIG
-    tol = cfg.target_tol if tol is None else tol
     a_arr, c_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
                                        np.asarray(c, dtype=float))
     _require_finite(s=s, a=a_arr, c=c_arr)
+    _require_tol(tol)
     shape = a_arr.shape
     values, errors, _ = _engine(parity, s, a_arr.ravel().copy(),
-                                c_arr.ravel().copy(), cfg, tol)
+                                c_arr.ravel().copy(), tol)
     return values.reshape(shape), errors.reshape(shape)
 
 
@@ -599,7 +591,7 @@ def _zeta_direct(p: LerchParams, tol: float) -> EvalResult:
     """Truncated direct summation with the absolute integral tail bound.
 
     Reached only through :func:`_direct_is_cheap`, which guarantees
-    Re(s) > 1, c > 0 and a term count within ``direct_cheap_terms``.
+    Re(s) > 1, c > 0 and a term count within ``_DIRECT_CHEAP_TERMS``.
     """
     s = complex(p.s)
     sigma = s.real
@@ -617,70 +609,68 @@ def _zeta_direct(p: LerchParams, tol: float) -> EvalResult:
                       Strategy.DIRECT_SERIES)
 
 
-def _direct_is_cheap(p: LerchParams, cfg: StrategyConfig) -> bool:
+def _direct_is_cheap(p: LerchParams, tol: float) -> bool:
     """Whether plain summation of the one-sided series at p, the point
-    summed, is the dispatch choice: non-integer a, Re(s) >= sigma_hi, and
+    summed, is the dispatch choice: non-integer a, Re(s) >= _SIGMA_HI, and
     a tail bound within reach."""
     sigma = complex(p.s).real
-    if p.a_integral or sigma < cfg.sigma_hi or sigma <= 1.0:
+    if p.a_integral or sigma < _SIGMA_HI or sigma <= 1.0:
         return False
-    needed = ((sigma - 1.0) * cfg.target_tol) ** (-1.0 / (sigma - 1.0)) + 1.0 - p.c
-    return needed <= cfg.direct_cheap_terms
+    needed = ((sigma - 1.0) * tol) ** (-1.0 / (sigma - 1.0)) + 1.0 - p.c
+    return needed <= _DIRECT_CHEAP_TERMS
 
 
-def lerch_star(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
+def lerch_star(p: LerchParams, tol: float = TARGET_TOL) -> EvalResult:
     """The extended function zeta_star(s, a, c) = sum_{n+c>0} e^(2 pi i n a)|n+c|^(-s).
 
     Dispatcher entry point: reduces (a, c) to the fundamental cell using
     twisted-periodicity and picks the regime strategy.  Agrees with the
     plain Lerch zeta function for 0 < c < 1.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    _require_tol(tol)
     s = complex(p.s)
     if p.a_integral and abs(s - 1.0) <= _INT_TOL:
         raise DegenerateParameterError("simple pole at s = 1 on integer lines")
     a_red, c_red, phase = _reduce_to_cell(np.array([p.a], dtype=float),
                                           np.array([p.c], dtype=float))
     cell = LerchParams(s, float(a_red[0]), float(c_red[0]))
-    if _direct_is_cheap(cell, cfg):
-        inner = _zeta_direct(cell, cfg.target_tol)
+    if _direct_is_cheap(cell, tol):
+        inner = _zeta_direct(cell, tol)
         return EvalResult(complex(phase[0]) * inner.value, inner.error_estimate,
                           Strategy.DIRECT_SERIES)
-    return _at_point(None, p, cfg)
+    return _at_point(None, p, tol)
 
 
-def lerch_star_many(s: complex, a, c, cfg: StrategyConfig | None = None,
-                    tol: float | None = None):
+def lerch_star_many(s: complex, a, c, tol: float = TARGET_TOL):
     """Vectorized zeta_star over broadcast arrays; returns (values, errors).
 
     This is the engine entry used by the twisted-function layer; it skips
     the direct-summation gate and always uses the continuation strategies.
     """
-    return _on_arrays(None, s, a, c, cfg, tol)
+    return _on_arrays(None, s, a, c, tol)
 
 
-def lerch_zeta(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
+def lerch_zeta(p: LerchParams, tol: float = TARGET_TOL) -> EvalResult:
     """The one-sided function zeta(s, a, c) = sum_{n>=0} e^(2 pi i n a)(n+c)^(-s).
 
     Requires c > 0.  Coincides with zeta_star for 0 < c <= 1.  For larger
-    c and Re(s) > sigma_lo the series is summed at c itself.  At or below
-    sigma_lo zeta_star is reflected, and the finitely many n < 0 terms with
+    c and Re(s) > _SIGMA_LO the series is summed at c itself.  At or below
+    _SIGMA_LO zeta_star is reflected, and the finitely many n < 0 terms with
     n + c > 0 that the extended function picks up are subtracted off.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    _require_tol(tol)
     if p.c <= 0.0:
         raise DomainError("lerch_zeta requires c > 0")
     K = math.ceil(p.c) - 1
     if K <= 0:
-        return lerch_star(p, cfg)
+        return lerch_star(p, tol)
     s = complex(p.s)
-    if s.real > cfg.sigma_lo:
-        if _direct_is_cheap(p, cfg):
-            return _zeta_direct(p, cfg.target_tol)
-        v, e = _phi_dispatch(s, np.array([p.a]), np.array([p.c]), cfg,
-                             cfg.target_tol)
+    if s.real > _SIGMA_LO:
+        if _direct_is_cheap(p, tol):
+            return _zeta_direct(p, tol)
+        v, e = _phi_dispatch(s, np.array([p.a]), np.array([p.c]), tol)
         return EvalResult(complex(v[0]), float(e[0]), Strategy.ACCELERATED)
-    base = lerch_star(p, cfg)
+    base = lerch_star(p, tol)
     n = -np.arange(1, K + 1)
     extra = np.sum(np.exp(2j * math.pi * n * p.a)
                    * np.abs(n + p.c) ** (-complex(p.s)))
@@ -689,21 +679,20 @@ def lerch_zeta(p: LerchParams, cfg: StrategyConfig | None = None) -> EvalResult:
                       base.strategy)
 
 
-def L_pm(p: LerchParams, parity: Parity,
-         cfg: StrategyConfig | None = None) -> EvalResult:
+def L_pm(p: LerchParams, parity: Parity, tol: float = TARGET_TOL) -> EvalResult:
     """The symmetrized combination L^+/L^- at (s, a, c).
 
     L^+ = sum_{n in Z} e^(2 pi i n a)|n+c|^(-s) and L^- the sgn(n+c)-signed
     variant; both are assembled from the same pair of one-sided values, so
     the identity L^+ + L^- = 2 zeta_star holds by construction.
     """
-    return _at_point(parity, p, cfg or DEFAULT_CONFIG)
+    _require_tol(tol)
+    return _at_point(parity, p, tol)
 
 
-def l_pm_many(s: complex, parity: Parity, a, c,
-              cfg: StrategyConfig | None = None, tol: float | None = None):
+def l_pm_many(s: complex, parity: Parity, a, c, tol: float = TARGET_TOL):
     """Vectorized L^+/L^- over broadcast arrays; returns (values, errors)."""
-    return _on_arrays(parity, s, a, c, cfg, tol)
+    return _on_arrays(parity, s, a, c, tol)
 
 
 def lpm_is_identically_zero(s: complex, parity: Parity) -> bool:
@@ -725,19 +714,19 @@ def r_pm_is_identically_zero(s: complex, parity: Parity) -> bool:
 
 
 def completed_L(p: LerchParams, parity: Parity,
-                cfg: StrategyConfig | None = None) -> EvalResult:
+                tol: float = TARGET_TOL) -> EvalResult:
     """Completed function: pi^(-(s+eps)/2) Gamma((s+eps)/2) L^pm(s, a, c).
 
     The gamma prefactor is exactly gamma_R of the matching parity.  Under
     (s, a, c) -> (1-s, 1-c, a) it satisfies the clean functional equations
     with root numbers 1 and i.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    _require_tol(tol)
     g = gamma_R(p.s, parity)
     if g.is_pole:
         raise DegenerateParameterError(
             "completed function undefined: gamma factor at a pole")
-    inner = L_pm(p, parity, cfg)
+    inner = L_pm(p, parity, tol)
     value = g.value * inner.value
     err = abs(g.value) * inner.error_estimate + 1e-15 * abs(value)
     return EvalResult(value, err, inner.strategy)

@@ -24,6 +24,10 @@ from .errors import DomainError
 __all__ = ["QuadratureGrid", "line_nodes", "unit_square_grid"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# points per graded piece, and the distance from a lattice line at which
+# a graded stack stops
+_GRADED_POINTS = 16
+_EDGE_CUTOFF = 1e-12
 
 
 def _leggauss(n: int):
@@ -38,17 +42,16 @@ def _map_panel(x0: float, x1: float, points: int):
     return x0 + half * (t + 1.0), half * w
 
 
-def _graded_pieces(lo: float, hi: float, depth: int, cutoff: float,
-                   toward_lo: bool):
+def _graded_pieces(lo: float, hi: float, depth: int, toward_lo: bool):
     """Geometric pieces of [lo, hi] accumulating at one end.
 
-    The stack stops at ``cutoff`` distance from the singular end and the
+    The stack stops at _EDGE_CUTOFF distance from the singular end and the
     final sliver is dropped: its mass is O(cutoff^(1+alpha)) for an
     integrable |x - e|^alpha blow-up, and dropping it keeps all nodes
     clear of the lattice-rejection radius of the integrand.
     """
     width = hi - lo
-    depth = min(depth, max(1, int(math.ceil(math.log2(width / cutoff)))))
+    depth = min(depth, max(1, int(math.ceil(math.log2(width / _EDGE_CUTOFF)))))
     pieces = []
     if toward_lo:
         for j in range(depth, 0, -1):
@@ -61,15 +64,14 @@ def _graded_pieces(lo: float, hi: float, depth: int, cutoff: float,
 
 
 def line_nodes(denominator: int = 1, points_per_panel: int = 64,
-               max_mode: int = 0, grade_depth: int = 0,
-               graded_points: int = 16, edge_cutoff: float = 1e-12):
+               max_mode: int = 0, grade_depth: int = 0):
     """Composite GL nodes/weights on (0, 1).
 
     Panels split at j/denominator and are subdivided so each holds at
     most ~8 oscillation periods of mode ``max_mode``.  With
     ``grade_depth`` > 0 the subpanels touching a lattice line are
     replaced by a geometric stack toward the line, truncated at
-    ``edge_cutoff`` (see :func:`_graded_pieces`).
+    _EDGE_CUTOFF (see :func:`_graded_pieces`).
     """
     if denominator < 1:
         raise DomainError("denominator must be positive")
@@ -92,13 +94,11 @@ def line_nodes(denominator: int = 1, points_per_panel: int = 64,
         for j in range(n_sub):
             s0, s1 = sub[j], sub[j + 1]
             if grade_depth > 0 and j == 0:
-                for (p0, p1) in _graded_pieces(s0, s1, grade_depth,
-                                               edge_cutoff, True):
-                    emit(p0, p1, graded_points)
+                for (p0, p1) in _graded_pieces(s0, s1, grade_depth, True):
+                    emit(p0, p1, _GRADED_POINTS)
             elif grade_depth > 0 and j == n_sub - 1:
-                for (p0, p1) in _graded_pieces(s0, s1, grade_depth,
-                                               edge_cutoff, False):
-                    emit(p0, p1, graded_points)
+                for (p0, p1) in _graded_pieces(s0, s1, grade_depth, False):
+                    emit(p0, p1, _GRADED_POINTS)
             else:
                 emit(s0, s1, points_per_panel)
     return np.concatenate(nodes), np.concatenate(weights)

@@ -42,23 +42,6 @@ class Parity(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Parity.PLUS else -1
-
-    @property
-    def epsilon(self) -> int:
-        return 0 if self is Parity.PLUS else 1
-
-    @classmethod
-    def from_string(cls, text: str) -> "Parity":
-        key = text.strip().lower()
-        if key in {"+", "plus", "p", "even"}:
-            return cls.PLUS
-        if key in {"-", "minus", "m", "odd"}:
-            return cls.MINUS
-        raise ValueError(f"not a parity: {text!r}")
-
 
 @dataclass(frozen=True)
 class GammaValue:
@@ -148,13 +131,6 @@ def gamma_R(s: complex, parity: Parity) -> GammaValue:
     return GammaValue(cmath.exp(-s / 2.0 * math.log(math.pi)) * g.value)
 
 
-def gamma_R_pole_set(parity: Parity, lo: int = -60) -> tuple[int, ...]:
-    """Integer pole locations of gamma_R in [lo, 0]: the even non-positive
-    integers for ``PLUS`` shifted by -1 for ``MINUS``."""
-    shift = 0 if parity is Parity.PLUS else -1
-    return tuple(n for n in range(lo, 1) if (n - shift) % 2 == 0 and n - shift <= 0)
-
-
 def tate_gamma(s: complex, parity: Parity) -> GammaValue:
     """Tate gamma function: gamma_R(s, p) / gamma_R(1 - s, p).
 
@@ -165,9 +141,6 @@ def tate_gamma(s: complex, parity: Parity) -> GammaValue:
     """
     num = gamma_R(s, parity)
     den = gamma_R(1.0 - s, parity)
-    if num.is_pole and den.is_pole:
-        # cannot happen for gamma_R (pole sets are disjoint), kept as a guard
-        return GammaValue(complex("nan"), is_pole=True)
     if num.is_pole:
         return GammaValue(complex("nan"), is_pole=True)
     if den.is_pole:

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, LatticePointError
-from .lerch_core import StrategyConfig, DEFAULT_CONFIG, l_pm_many, lerch_star_many
+from .lerch_core import l_pm_many, lerch_star_many
 from .special_functions import Parity
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "apply_hecke",
     "apply_R",
     "kubert_1d",
-    "dilation_1d",
     "zeta_operator_partial",
 ]
 
@@ -67,7 +66,6 @@ class OperatorKind(enum.Enum):
     T_VEE = "T_vee"
     S_VEE = "S_vee"
     R_POW = "R_pow"
-    J = "J"
     D_PLUS = "D_plus"
     D_MINUS = "D_minus"
     D_L = "D_L"
@@ -76,8 +74,6 @@ class OperatorKind(enum.Enum):
 
 _HECKE_KINDS = {OperatorKind.T, OperatorKind.S, OperatorKind.T_VEE,
                 OperatorKind.S_VEE}
-_DIFFERENTIAL_KINDS = {OperatorKind.D_PLUS, OperatorKind.D_MINUS,
-                       OperatorKind.D_L, OperatorKind.DELTA_L}
 
 
 @dataclass(frozen=True)
@@ -100,10 +96,6 @@ class OperatorSpec:
                 raise DomainError("R_pow needs a power in 0..3")
         elif self.index is not None:
             raise DomainError(f"{self.kind.value} takes no index")
-
-    @property
-    def is_differential(self) -> bool:
-        return self.kind in _DIFFERENTIAL_KINDS
 
 
 def _twist_phase(k: np.ndarray, a_red: np.ndarray) -> np.ndarray:
@@ -191,25 +183,20 @@ class TwistedFn:
         return self.extend(a, c)
 
 
-def lerch_star_twisted(s: complex, cfg: StrategyConfig | None = None,
-                       tol: float | None = None) -> TwistedFn:
+def lerch_star_twisted(s: complex) -> TwistedFn:
     """zeta_star(s, ., .) as a TwistedFn (admissible denominator 1)."""
-    cfg = cfg or DEFAULT_CONFIG
 
     def core(a, c):
-        return lerch_star_many(s, a, c, cfg, tol)[0]
+        return lerch_star_many(s, a, c)[0]
 
     return TwistedFn(core, 1, f"zeta*({s})")
 
 
-def l_pm_twisted(s: complex, parity: Parity,
-                 cfg: StrategyConfig | None = None,
-                 tol: float | None = None) -> TwistedFn:
+def l_pm_twisted(s: complex, parity: Parity) -> TwistedFn:
     """L^pm(s, ., .) as a TwistedFn (admissible denominator 1)."""
-    cfg = cfg or DEFAULT_CONFIG
 
     def core(a, c):
-        return l_pm_many(s, parity, a, c, cfg, tol)[0]
+        return l_pm_many(s, parity, a, c)[0]
 
     return TwistedFn(core, 1, f"L{parity.value}({s})")
 
@@ -282,18 +269,6 @@ def apply_R(F: TwistedFn, power: int = 1) -> TwistedFn:
                      f"R^{power}({F.label})")
 
 
-def apply_functional(spec: OperatorSpec, F: TwistedFn) -> TwistedFn:
-    """Apply a non-differential operator spec."""
-    if spec.kind in _HECKE_KINDS:
-        return apply_hecke(spec.kind, spec.index, F)
-    if spec.kind is OperatorKind.R_POW:
-        return apply_R(F, spec.index)
-    if spec.kind is OperatorKind.J:
-        return apply_R(F, 2)
-    raise DomainError(
-        f"{spec.kind.value} is a differential operator; use diff_ops.apply_D")
-
-
 # ---------------------------------------------------------------------------
 # one-variable specializations
 # ---------------------------------------------------------------------------
@@ -311,13 +286,6 @@ def kubert_1d(m: int, f: Callable, x) -> complex | np.ndarray:
     vals = np.asarray(f((x_arr[None] + k) / m), dtype=np.complex128)
     out = vals.sum(axis=0) / m
     return complex(out[0]) if scalar else out
-
-
-def dilation_1d(m: int, f: Callable, c) -> complex | np.ndarray:
-    """Dilation operator f(m c); composes multiplicatively in m."""
-    if m < 1:
-        raise DomainError("dilation index m must be >= 1")
-    return f(np.asarray(c, dtype=float) * m)
 
 
 # ---------------------------------------------------------------------------

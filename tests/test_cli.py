@@ -65,6 +65,16 @@ class TestEval:
         assert out == ""
         assert f"{flag[2:]} must be finite" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+    def test_bad_tol_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "eval", "--function", "zeta-star",
+                                 "--s", "4,0", "--a", "0.3", "--c", "0.7",
+                                 f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"usage error: tol must be finite and positive, not {float(tol)!r}"]
+
     def test_s_1_on_integer_c_is_not_a_pole(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--function", "zeta",
                                "--s", "1,0", "--a", "0.5", "--c", "1")

@@ -167,14 +167,12 @@ class TestConfig:
             "seed = 7\n"
             "groups = special_fns, milnor_baseline\n"
             "hecke_s = 2.0, 0.5+10j\n"
-            "fe_tol = 1e-6\n"
-            "deterministic_timing = true\n")
+            "fe_tol = 1e-6\n")
         cfg = load_config(p)
         assert cfg["seed"] == 7
         assert cfg["groups"] == ["special_fns", "milnor_baseline"]
         assert cfg["hecke_s"] == [2.0, 0.5 + 10j]
         assert cfg["fe_tol"] == 1e-6
-        assert cfg["deterministic_timing"] is True
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"

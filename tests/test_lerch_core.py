@@ -1,11 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lerchlab import (
-    DEFAULT_CONFIG,
     AccelerationFailureError,
     DegenerateParameterError,
     DomainError,
@@ -13,7 +11,6 @@ from lerchlab import (
     LerchParams,
     Parity,
     Strategy,
-    StrategyConfig,
     completed_L,
     hurwitz,
     hurwitz_many,
@@ -126,14 +123,14 @@ class TestLerchStar:
                 ref = cell * np.exp(-2j * np.pi * (k - 1) * a)
                 assert abs(res.value - ref) <= res.error_estimate
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the small-a expansion stops at a "
-                       "term that vanishes exactly, zeta_H(s - k, c) = 0 at "
-                       "integer s and c = 1/2 or 1 (small-a item of ROADMAP.md)")
     def test_small_a_at_integer_s_within_its_estimate(self):
-        for s, c in ((1.0, 1.0), (2.0, 0.5)):
+        # at integer s and c = 1/2 or 1, zeta_H(s - k, c) vanishes at
+        # s - k = -2, -4, ...; the expansion must sum past that term, and
+        # its tail bound must count the first term it leaves out
+        for s, c in ((2.0, 0.5), (3.0, 0.5), (2.0, 1.0), (1.0, 1.0)):
             res = lerch_star(LerchParams(s, 0.013, c))
             ref = mp_lerch(s, 0.013, c)
+            assert abs(res.value - ref) <= 1e-13 * abs(ref)
             assert abs(res.value - ref) <= res.error_estimate
 
     def test_direct_gate_at_the_cell_point(self):
@@ -285,7 +282,7 @@ class TestEvalStrip:
 
 class TestEvalReflected:
     """The functional equation of the L-pair: L_pm goes through it at
-    Re s <= sigma_lo, and both sides of it agree in the strip."""
+    Re s <= -0.5, and both sides of it agree in the strip."""
 
     def test_against_continued_oracle(self):
         p = LerchParams(-1.5, 0.3, 0.6)
@@ -391,21 +388,12 @@ class TestStrategyDispatch:
             assert abs(accel - direct.value) < 1e-9
 
     def test_dispatcher_uses_direct_when_cheap(self):
-        cfg = StrategyConfig(target_tol=1e-8)
-        res = lerch_star(LerchParams(4.0, 0.3, 0.7), cfg)
+        res = lerch_star(LerchParams(4.0, 0.3, 0.7), 1e-8)
         assert res.strategy is Strategy.DIRECT_SERIES
 
     def test_dispatcher_reflects_below_sigma_lo(self):
         res = lerch_star(LerchParams(-1.0, 0.3, 0.7))
         assert res.strategy is Strategy.REFLECTED
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            StrategyConfig(sigma_hi=-1.0, sigma_lo=0.0)
-
-    def test_default_config_is_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            DEFAULT_CONFIG.target_tol = 1e-3
 
     def test_raising_lowering_series_route(self):
         # finite-difference d/dc of zeta matches -s zeta(s+1) (the series
@@ -437,7 +425,7 @@ def band_points(seed, per_band=2):
 def levin_series(a):
     """Series Levin sums for one-sided points at a: m per oscillatory a."""
     dist = np.abs(a - np.round(a))
-    dist = dist[dist >= DEFAULT_CONFIG.small_a_cutoff]
+    dist = dist[dist >= lerch_core._SMALL_A_CUTOFF]
     m = np.maximum(1, np.round(0.5 / dist).astype(int))
     m[dist >= 0.35] = 1
     return int(m.sum())
@@ -505,8 +493,6 @@ class TestLerchParams:
         assert LerchParams(2.0, 1.0, 0.5).a_integral
         assert LerchParams(2.0, 1.0 + 5e-15, 0.5).a_integral
         assert not LerchParams(2.0, 1.0 + 1e-12, 0.5).a_integral
-        assert LerchParams(2.0, 0.3, -2.0).c_integral
-        assert not LerchParams(2.0, 0.3, 0.5).c_integral
 
     def test_eval_result_error_nonnegative(self):
         res = lerch_star(LerchParams(0.8, 0.37, 0.52))
@@ -546,6 +532,32 @@ class TestNonFiniteInputs:
         assert vals.shape == errs.shape == (0,)
         vals, errs = lerch_star_many(2.0, [], [])
         assert vals.shape == errs.shape == (0,)
+
+
+class TestBadTolerance:
+    P = LerchParams(0.7 + 2j, 0.3, 0.4)
+    EVALUATORS = {
+        "lerch_star": lambda tol: lerch_star(TestBadTolerance.P, tol),
+        "lerch_zeta": lambda tol: lerch_zeta(TestBadTolerance.P, tol),
+        "L_pm": lambda tol: L_pm(TestBadTolerance.P, Parity.PLUS, tol),
+        "completed_L": lambda tol: completed_L(TestBadTolerance.P, Parity.MINUS, tol),
+        "hurwitz": lambda tol: hurwitz(2.0, 0.5, tol),
+        "lerch_star_many": lambda tol: lerch_star_many(0.7 + 2j, [0.3], [0.4], tol),
+        "l_pm_many": lambda tol: l_pm_many(0.7 + 2j, Parity.PLUS, [0.3], [0.4], tol),
+        "hurwitz_many": lambda tol: hurwitz_many(2.0, [0.5], tol),
+        "riemann_zeta": lambda tol: riemann_zeta(2.0, tol),
+    }
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", list(EVALUATORS))
+    def test_rejected(self, name, tol):
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            self.EVALUATORS[name](tol)
+
+    def test_direct_series_at_zero_tol(self):
+        # the direct-summation gate divides by tol
+        with pytest.raises(DomainError):
+            lerch_star(LerchParams(4.0, 0.3, 0.7), 0.0)
 
 
 class TestHurwitzAccuracy:
@@ -622,17 +634,21 @@ def per_point_small_a_s2(a_off, c, tol):
     values += lead
     errors += 4e-16 * np.abs(lead)
     wk = np.ones_like(w)
-    term = np.zeros_like(w)
+    term = left_out = np.zeros_like(w)
+    last_small = False
     for k in range(kmax + 1):
         if k != m - 1:
             zh, zh_err = per_point_hurwitz(m - k, c, tol)
-            term = zh * wk
+            nxt = zh * wk
+            small = k >= 2 and np.all(np.abs(nxt) < 0.25 * tol)
+            if small and last_small:
+                left_out = nxt
+                break
+            term, last_small = nxt, small
             values += term
             errors += zh_err * np.abs(wk) + 1e-16 * np.abs(term)
-            if k >= 2 and np.all(np.abs(term) < 0.25 * tol):
-                break
         wk = wk * w / (k + 1.0)
-    errors += np.abs(term)
+    errors += np.maximum(np.abs(term), np.abs(left_out))
     twist = np.exp(-w * c)
     return twist * values, np.abs(twist) * errors
 

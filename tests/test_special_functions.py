@@ -135,15 +135,3 @@ class TestRootNumber:
     def test_fourth_roots_of_unity(self):
         for p in (Parity.PLUS, Parity.MINUS):
             assert abs(root_number(p) ** 4 - 1.0) == 0.0
-
-
-class TestParity:
-    def test_epsilon(self):
-        assert Parity.PLUS.epsilon == 0
-        assert Parity.MINUS.epsilon == 1
-
-    def test_from_string(self):
-        assert Parity.from_string("+") is Parity.PLUS
-        assert Parity.from_string("minus") is Parity.MINUS
-        with pytest.raises(ValueError):
-            Parity.from_string("pm")

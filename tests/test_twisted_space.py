@@ -12,7 +12,6 @@ from lerchlab import (
     TwistedFn,
     apply_R,
     apply_hecke,
-    dilation_1d,
     hurwitz_many,
     kubert_1d,
     l_pm_twisted,
@@ -21,7 +20,6 @@ from lerchlab import (
     zeta_operator_partial,
 )
 from lerchlab.harness import sample_off_lattice, smooth_twisted_fn
-from lerchlab.twisted_space import apply_functional
 
 from oracles import direct_sum
 
@@ -151,17 +149,6 @@ class TestHecke:
             OperatorSpec(OperatorKind.R_POW, 5)
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.D_L, 2)
-        spec = OperatorSpec(OperatorKind.S, 3)
-        assert not spec.is_differential
-
-    def test_apply_functional_dispatch(self, F):
-        spec = OperatorSpec(OperatorKind.J)
-        G = apply_functional(spec, F)
-        a, c = 0.21, 0.43
-        want = np.exp(-2j * np.pi * a) * F.extend(1 - a, 1 - c)
-        assert abs(G.extend(a, c) - want) < 1e-15
-        with pytest.raises(DomainError):
-            apply_functional(OperatorSpec(OperatorKind.D_L), F)
 
 
 class TestROperator:
@@ -226,22 +213,6 @@ class TestKubert:
             kubert_1d(2, f, 1.2)
         with pytest.raises(DomainError):
             kubert_1d(0, f, 0.5)
-
-
-class TestDilation:
-    def test_identity(self):
-        f = lambda c: np.asarray(c, dtype=complex) ** 2
-        assert abs(dilation_1d(1, f, 0.3) - 0.09) < 1e-15
-
-    def test_composition(self):
-        f = lambda c: np.asarray(c, dtype=complex) ** 2
-        inner = lambda c: dilation_1d(3, f, c)
-        lhs = dilation_1d(2, inner, 0.11)
-        assert abs(lhs - f(6 * 0.11)) < 1e-15
-
-    def test_periodic_consistency(self):
-        f = lambda c: np.exp(2j * np.pi * np.asarray(c))
-        assert abs(dilation_1d(5, f, 0.3) - dilation_1d(5, f, 1.3)) < 1e-12
 
 
 def cancellation_noise(c: float, M: int, sigma: float) -> float:
