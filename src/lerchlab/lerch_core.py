@@ -160,11 +160,15 @@ def _distinct(x: np.ndarray):
     """(values, inverse index) with values[inverse] == x, for a 1-d x.
 
     From _DISTINCT_MIN elements up the values are the distinct ones;
-    below it x itself comes back with inverse None.
+    below it, and when every value is distinct, x itself comes back with
+    inverse None.
     """
     if x.size < _DISTINCT_MIN:
         return x, None
-    return np.unique(x, return_inverse=True)
+    values, inverse = np.unique(x, return_inverse=True)
+    if values.size == x.size:
+        return x, None
+    return values, inverse
 
 
 def _gather(values: np.ndarray, inverse) -> np.ndarray:
@@ -190,53 +194,91 @@ _BERNOULLI_EVEN = np.array([
 ])
 
 
-def _hurwitz_em(s: complex, x: np.ndarray, tol: float):
+# Euler-Maclaurin corrections kept: B_2j / (2j)! for j = 1 .. _EM_TERMS,
+# and the remainder's coefficient |B_(2J+2)| / (2J+2)!, as Python floats
+# (numpy scalars would cost about 1 us an operation in the per-s loop)
+_EM_TERMS = 14
+_EM_WEIGHTS = [float(_BERNOULLI_EVEN[j - 1] / math.factorial(2 * j))
+               for j in range(1, _EM_TERMS + 1)]
+_EM_BCOEF = float(abs(_BERNOULLI_EVEN[_EM_TERMS]) / math.factorial(2 * _EM_TERMS + 2))
+
+
+def _em_plan(s: complex, xmin: float, tol: float):
+    """Scalars of Euler-Maclaurin for zeta_H(s, x), x >= xmin, in Python
+    arithmetic: (N, remainder scale and power, rounding-floor power,
+    correction coefficients, correction exponents).  N doubles until the
+    remainder bound sits below ``tol``."""
+    J = _EM_TERMS
+    sigma = s.real
+    rise = math.prod([abs(s + m) for m in range(2 * J + 1)])
+    safety = max(1.0, abs(s + 2 * J + 1) / (sigma + 2 * J + 1))
+    scale = rise * safety * _EM_BCOEF
+    power = -(sigma + 2 * J + 1)
+    N = int(max(10.0, 0.4 * (abs(s) + 2 * J), 2.0 - sigma))
+    for _ in range(40):
+        if scale * (N + xmin) ** power <= tol or N > 1_000_000:
+            break
+        N *= 2
+    poch, coefs = s, []
+    for j in range(1, J + 1):
+        coefs.append(_EM_WEIGHTS[j - 1] * poch)
+        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+    exps = [-(s + 2 * j - 1) for j in range(1, J + 1)]
+    return N, scale, power, max(0.0, -sigma), coefs, exps
+
+
+def _hurwitz_em(s, x: np.ndarray, tol: float):
     """Vectorized zeta_H(s, x) for x > 0, s != 1, with a remainder bound.
 
-    Truncated sum over n < N plus integral, half-term and Bernoulli
-    corrections; N doubles until the remainder bound sits below ``tol``.
-    Every factor is computed once per distinct x; the head powers are
-    gathered to the points before their sum, so it adds over the caller's
-    width (np.sum(axis=0) adds pairwise at width 1, row by row from 2).
+    ``s`` is one exponent or a 1-d array of them; values and bounds have
+    shape np.shape(s) + x.shape, one row per exponent.  Truncated sum
+    over n < N plus integral, half-term and Bernoulli corrections, with
+    N, the bound and the coefficients of each exponent from
+    :func:`_em_plan`.  The array work of all exponents runs in one pass,
+    elementwise as for each alone, so every row has the bits of its
+    one-exponent call.  Every factor is computed once per distinct x;
+    the head powers are gathered to the points before their sum, so it
+    adds over the caller's width (np.sum(axis=0) adds pairwise at width
+    1, row by row from 2).
     """
-    s = complex(s)
-    if abs(s - 1.0) <= _INT_TOL:
+    s_list = [complex(sk) for sk in np.ravel(s)]
+    if any(abs(sk - 1.0) <= _INT_TOL for sk in s_list):
         raise DegenerateParameterError("Hurwitz zeta has its pole at s = 1")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("Hurwitz zeta requires x > 0")
-    J = 14
-    sigma = s.real
-    rise = 1.0
-    for m in range(2 * J + 1):
-        rise *= abs(s + m)
-    safety = max(1.0, abs(s + 2 * J + 1) / (sigma + 2 * J + 1))
-    bcoef = abs(_BERNOULLI_EVEN[J]) / math.factorial(2 * J + 2)
-    N = int(max(10.0, 0.4 * (abs(s) + 2 * J), 2.0 - sigma))
     xmin = float(np.min(x, initial=np.inf))   # an empty x keeps the first N
-    for _ in range(40):
-        bound_worst = rise * safety * bcoef * (N + xmin) ** (-(sigma + 2 * J + 1))
-        if bound_worst <= tol or N > 1_000_000:
-            break
-        N *= 2
+    Ns, scales, powers, floors, coefs, exps = zip(
+        *[_em_plan(sk, xmin, tol) for sk in s_list])
+    s_col = np.array(s_list)[:, None]
+
     x_u, inverse = _distinct(x)
-    n = np.arange(N)[:, None]
-    head = np.sum(_gather((n + x_u[None, :]) ** (-s), inverse), axis=0)
-    y = (N + x_u).astype(complex)
-    tail = y ** (1.0 - s) / (s - 1.0) + 0.5 * y ** (-s)
-    poch = s
-    for j in range(1, J + 1):
-        tail = tail + (
-            _BERNOULLI_EVEN[j - 1] / math.factorial(2 * j)
-        ) * poch * y ** (-(s + 2 * j - 1))
-        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+    n = np.concatenate([np.arange(N) for N in Ns])[:, None]
+    terms = _gather((n + x_u) ** np.repeat(-s_col, Ns, axis=0), inverse)
+    head = np.empty((len(s_list),) + x.shape, dtype=np.complex128)
+    lo = 0
+    for k, N in enumerate(Ns):
+        head[k] = np.sum(terms[lo:lo + N], axis=0)
+        lo += N
+    y = (np.array(Ns)[:, None] + x_u).astype(complex)
+    tail = y ** (1.0 - s_col) / (s_col - 1.0) + 0.5 * y ** (-s_col)
+    coefs, exps = np.array(coefs), np.array(exps)
+    for j in range(_EM_TERMS):
+        tail = tail + coefs[:, j, None] * y ** exps[:, j, None]
     values = head + _gather(tail, inverse)
-    bound = rise * safety * bcoef * np.abs(y) ** (-(sigma + 2 * J + 1))
+    # row by row with float exponents, as a one-exponent call does: numpy
+    # takes a float exponent 0.5, 2 or -1 by a route with other last bits
+    abs_y = np.abs(y)
+    bound = np.array([scale * row ** power
+                      for scale, row, power in zip(scales, abs_y, powers)])
     # rounding floor keyed to the largest summand, which dominates the
     # value itself when sigma < 0
-    largest = np.abs(y) ** max(0.0, -sigma)
-    errors = _gather(bound, inverse) + 1e-16 * math.sqrt(N) * np.maximum(
+    largest = np.array([row ** floor for row, floor in zip(abs_y, floors)])
+    rounding = 1e-16 * np.sqrt(np.array(Ns))[:, None]
+    errors = _gather(bound, inverse) + rounding * np.maximum(
         np.abs(values), _gather(largest, inverse))
+    if np.ndim(s) == 0:
+        return values[0], errors[0]
     return values, errors
 
 
@@ -299,6 +341,10 @@ def _phi_small_a(s: complex, a_off: np.ndarray, c: np.ndarray, tol: float):
     the gamma term merge into the finite limit
     w^(m-1)/(m-1)! (psi(m) - psi(c) - log(-w)).  Effective convergence
     rate is |a_off| per order, so this path is reserved for small offsets.
+    One multi-exponent :func:`_hurwitz_em` call gives zeta_H(s-k, c) for
+    every order k up to kmax, each with its own head length and bound;
+    the sum then stops by the rule below, and the rows past its stopping
+    order go unused.
     """
     s = complex(s)
     w = (2j * math.pi) * a_off
@@ -327,20 +373,24 @@ def _phi_small_a(s: complex, a_off: np.ndarray, c: np.ndarray, tol: float):
     # ..., so one small term does not end the series.  The larger of the
     # last term summed and the first one left out bounds the omitted tail
     # crudely; the last term alone would be 0 after a vanishing one.
+    pole = m - 1 if s_is_pos_int else None
+    orders = [k for k in range(kmax + 1) if k != pole]
+    zh, zh_err = _hurwitz_em(np.array([s - k for k in orders]), c, tol)
+    rows = dict(zip(orders, zip(zh, zh_err)))
     wk = np.ones_like(w)  # w^k / k!
     term = left_out = np.zeros_like(w)
     last_small = False
     for k in range(kmax + 1):
-        if not (s_is_pos_int and k == m - 1):
-            zh, zh_err = _hurwitz_em(s - k, c, tol)
-            nxt = zh * wk
-            small = k >= 2 and np.all(np.abs(nxt) < 0.25 * tol)
+        if k in rows:
+            zh_k, err_k = rows[k]
+            nxt = zh_k * wk
+            small = k >= 2 and (np.abs(nxt) < 0.25 * tol).all()
             if small and last_small:
                 left_out = nxt
                 break
             term, last_small = nxt, small
             values += term
-            errors += zh_err * np.abs(wk) + 1e-16 * np.abs(term)
+            errors += err_k * np.abs(wk) + 1e-16 * np.abs(term)
         wk = wk * w / (k + 1.0)
     errors += np.maximum(np.abs(term), np.abs(left_out))
     twist = np.exp(-w * c)
@@ -631,11 +681,14 @@ def lerch_star(p: LerchParams, tol: float = TARGET_TOL) -> EvalResult:
     s = complex(p.s)
     if p.a_integral and abs(s - 1.0) <= _INT_TOL:
         raise DegenerateParameterError("simple pole at s = 1 on integer lines")
-    a_red, c_red, phase = _reduce_to_cell(np.array([p.a], dtype=float),
-                                          np.array([p.c], dtype=float))
-    cell = LerchParams(s, float(a_red[0]), float(c_red[0]))
+    # the gate looks at the cell point, in scalar arithmetic that gives
+    # _reduce_to_cell's bits; the engine reduces the point itself
+    k = math.ceil(p.c) - 1
+    cell = LerchParams(s, p.a % 1.0, float(p.c - k))
     if _direct_is_cheap(cell, tol):
         inner = _zeta_direct(cell, tol)
+        _, _, phase = _reduce_to_cell(np.array([p.a], dtype=float),
+                                      np.array([p.c], dtype=float))
         return EvalResult(complex(phase[0]) * inner.value, inner.error_estimate,
                           Strategy.DIRECT_SERIES)
     return _at_point(None, p, tol)

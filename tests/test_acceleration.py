@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from lerchlab import lerch_core
+from lerchlab import acceleration, lerch_core
 from lerchlab.acceleration import levin_sum
 from lerchlab.errors import AccelerationFailureError
 
@@ -136,8 +136,9 @@ def random_batch(seed, width):
     return s, a, c
 
 
-# block sizes 8, 8, 8, 1, 1, 1; the seeds give converging and failing batches
-WIDTHS = (1, 3, 64, 2047, 2048, 4096)
+# block sizes 24, 24, 24, 24, 23, 8, 1, 1, 1 (85, 86 and 256 sit at the
+# cap's transitions); the seeds give converging and failing batches
+WIDTHS = (1, 3, 64, 85, 86, 256, 2047, 2048, 4096)
 
 
 class TestMatchesOracle:
@@ -175,6 +176,34 @@ class TestMatchesOracle:
         want = levin_oracle(lerch_tail(s, a, c), (2, 3), 1e-12, max_order=90)
         assert_bit_identical(("ok", (res.value, res.error, res.orders)),
                              ("ok", want))
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("s, a_lo, a_hi, kind",
+                             [(0.7 + 4j, 0.36, 0.64, "ok"),
+                              (0.5 + 60j, 0.05, 0.35, "raised")])
+    def test_results_do_not_depend_on_it(self, monkeypatch, s, a_lo, a_hi,
+                                         kind):
+        # one converging and one failing batch (Im s = 60, a below 0.35);
+        # blocks of 40 and 80 terms pass the table's first rows, and 80
+        # passes twice their number, on the first block
+        assert 2 * acceleration._FIRST_ROWS < 80
+        rng = np.random.default_rng(40)
+        a = rng.uniform(a_lo, a_hi, 5)
+        c = rng.uniform(0.05, 1.0, 5)
+
+        def run():
+            res = levin_sum(lerch_tail_block(s, a, c), (5,), 1e-12,
+                            max_order=90)
+            return res.value, res.error, res.orders
+
+        outcomes = []
+        for block in (1, 8, 24, 40, 80):
+            monkeypatch.setattr(acceleration, "_BLOCK_TERMS", block)
+            outcomes.append(outcome(run))
+        assert outcomes[0][0] == kind
+        for got in outcomes[1:]:
+            assert_bit_identical(got, outcomes[0])
 
 
 def random_tols(seed, shape):

@@ -702,3 +702,75 @@ class TestDistinctFactorsBitIdentical:
         a_off, c = factor_inputs(kind, width, -0.019, 0.019, 3)
         assert_same_bits(lerch_core._phi_small_a(2.0, a_off, c, 1e-12),
                          per_point_small_a_s2(a_off, c, 1e-12))
+
+    def test_distinct_values(self, kind, width):
+        # all-distinct inputs come back as they are, with no gather
+        a, _ = factor_inputs(kind, width, 0.36, 0.64, 1)
+        values, inverse = lerch_core._distinct(a)
+        if kind == "distinct" or width < CUT:
+            assert values is a and inverse is None
+        else:
+            assert values.size < a.size
+            assert np.array_equal(values[inverse], a)
+
+
+def order_cases():
+    """(s, orders) as _phi_small_a asks for them: k = 0..13 at seeded s
+    with Re s in [-0.5, 3] and |Im s| <= 12, at Re s = 1/2 and 1 (whose
+    rounding floors take the exponents 1/2 and 2), and at s = 2 and 3
+    without the pole row k = s - 1."""
+    rng = np.random.default_rng(14)
+    cases = [(complex(rng.uniform(-0.5, 3.0), rng.uniform(-12.0, 12.0)),
+              range(14)) for _ in range(4)]
+    cases += [(0.5 + 7j, range(14)), (1.0 - 3j, range(14))]
+    cases += [(float(m), [k for k in range(14) if k != m - 1]) for m in (2, 3)]
+    return cases
+
+
+def order_rows(s, orders, x, tol):
+    return lerch_core._hurwitz_em(np.array([s - k for k in orders]), x, tol)
+
+
+class TestHurwitzOrders:
+    @pytest.mark.parametrize("kind", ["distinct", "grid", "single"])
+    @pytest.mark.parametrize("width", [1, 3, CUT, 2048])
+    def test_rows_are_one_exponent_calls(self, kind, width):
+        _, x = factor_inputs(kind, width, 0.0, 1.0, 5)
+        for s, orders in order_cases():
+            values, errors = order_rows(s, orders, x, 1e-12)
+            assert values.shape == errors.shape == (len(orders), width)
+            for i, k in enumerate(orders):
+                assert_same_bits((values[i], errors[i]),
+                                 lerch_core._hurwitz_em(s - k, x, 1e-12))
+
+    def test_pole_row_raises(self):
+        with pytest.raises(DegenerateParameterError):
+            order_rows(2.0, range(14), np.array([0.3, 0.7]), 1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: the Hurwitz path's rounding floor undercounts (true "
+        "errors up to ~20x its estimate), and at Re(s - k) below about -10 "
+        "the head's cancellation loses every digit"))
+    def test_rows_against_mpmath(self):
+        rng = np.random.default_rng(15)
+        for s, orders in order_cases():
+            x = rng.uniform(0.05, 1.0, 2)
+            values, errors = order_rows(s, orders, x, 1e-13)
+            for i, k in enumerate(orders):
+                for v, e, xi in zip(values[i], errors[i], x):
+                    ref = mp_hurwitz(s - k, float(xi))
+                    assert abs(v - ref) <= 1e-13 * abs(ref)
+                    assert abs(v - ref) <= e
+
+    def test_small_a_values_against_mpmath(self):
+        # the expansion weights row k by |w|^k / k!, |w| < 0.13, so the
+        # sums stay accurate where the high rows are not
+        rng = np.random.default_rng(21)
+        for i in range(12):
+            s = complex(rng.uniform(-0.5, 3.0), rng.uniform(-12.0, 12.0))
+            d = rng.uniform(1e-4, 0.02)
+            a = d if i % 2 else 1.0 - d
+            c = rng.uniform(0.05, 1.0)
+            ref = mp_lerch(s, a, c)
+            res = lerch_star(LerchParams(s, a, c))
+            assert abs(res.value - ref) <= 1e-13 * abs(ref)
