@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, LatticePointError, UnknownRelationError
-from .report import ReportRecord
 from .special_functions import Parity
 from .twisted_space import (
     OperatorKind,
@@ -85,11 +84,6 @@ def _d_axis(f: PointFn, axis: int, cfg: StencilConfig) -> PointFn:
     return deriv
 
 
-def _d_mixed(f: PointFn, cfg: StencilConfig) -> PointFn:
-    # tensor product of the 1-d stencils: 16 points
-    return _d_axis(_d_axis(f, 1, cfg), 0, cfg)
-
-
 def _op_d_plus(f: PointFn, cfg: StencilConfig) -> PointFn:
     return _d_axis(f, 1, cfg)
 
@@ -104,7 +98,8 @@ def _op_d_minus(f: PointFn, cfg: StencilConfig) -> PointFn:
 
 
 def _op_d_L(f: PointFn, cfg: StencilConfig) -> PointFn:
-    mixed = _d_mixed(f, cfg)
+    # tensor product of the 1-d stencils: 16 points
+    mixed = _d_axis(_d_axis(f, 1, cfg), 0, cfg)
     dc = _d_axis(f, 1, cfg)
 
     def op(a, c):
@@ -164,65 +159,53 @@ def apply_D(kind: OperatorKind, F, a, c,
 # ---------------------------------------------------------------------------
 
 def _rel_d_plus_d_minus(f, cfg):
-    dp = _D_BUILDERS[OperatorKind.D_PLUS]
-    dm = _D_BUILDERS[OperatorKind.D_MINUS]
-    lhs1 = dp(dm(f, cfg), cfg)
-    lhs2 = dm(dp(f, cfg), cfg)
+    lhs1 = _op_d_plus(_op_d_minus(f, cfg), cfg)
+    lhs2 = _op_d_minus(_op_d_plus(f, cfg), cfg)
     return lambda a, c: lhs1(a, c) - lhs2(a, c) - f(a, c)
 
 
 def _rel_d_plus_R(f, cfg):
-    dp = _D_BUILDERS[OperatorKind.D_PLUS]
-    dm = _D_BUILDERS[OperatorKind.D_MINUS]
-    lhs = dp(r_power(f, 1), cfg)
-    rhs = r_power(dm(f, cfg), 1)
+    lhs = _op_d_plus(r_power(f, 1), cfg)
+    rhs = r_power(_op_d_minus(f, cfg), 1)
     return lambda a, c: lhs(a, c) + TWO_PI_I * rhs(a, c)
 
 
 def _rel_d_minus_R(f, cfg):
-    dp = _D_BUILDERS[OperatorKind.D_PLUS]
-    dm = _D_BUILDERS[OperatorKind.D_MINUS]
-    lhs = dm(r_power(f, 1), cfg)
-    rhs = r_power(dp(f, cfg), 1)
+    lhs = _op_d_minus(r_power(f, 1), cfg)
+    rhs = r_power(_op_d_plus(f, cfg), 1)
     return lambda a, c: lhs(a, c) - rhs(a, c) / TWO_PI_I
 
 
 def _rel_d_L_R(f, cfg):
-    dl = _D_BUILDERS[OperatorKind.D_L]
-    lhs = dl(r_power(f, 1), cfg)
-    rhs = r_power(dl(f, cfg), 1)
+    lhs = _op_d_L(r_power(f, 1), cfg)
+    rhs = r_power(_op_d_L(f, cfg), 1)
     rf = r_power(f, 1)
     return lambda a, c: lhs(a, c) + rhs(a, c) + rf(a, c)
 
 
 def _rel_d_L_J(f, cfg):
-    dl = _D_BUILDERS[OperatorKind.D_L]
-    lhs = dl(r_power(f, 2), cfg)
-    rhs = r_power(dl(f, cfg), 2)
+    lhs = _op_d_L(r_power(f, 2), cfg)
+    rhs = r_power(_op_d_L(f, cfg), 2)
     return lambda a, c: lhs(a, c) - rhs(a, c)
 
 
+# (A, B, R power) -> residual builder of the relation asserted for (A, B)
 _RELATIONS = {
-    (OperatorKind.D_PLUS, OperatorKind.D_MINUS, None): (
-        "D+ D- - D- D+ = I", _rel_d_plus_d_minus),
-    (OperatorKind.D_PLUS, OperatorKind.R_POW, 1): (
-        "D+ R = -2 pi i R D-", _rel_d_plus_R),
-    (OperatorKind.D_MINUS, OperatorKind.R_POW, 1): (
-        "D- R = (1/2 pi i) R D+", _rel_d_minus_R),
-    (OperatorKind.D_L, OperatorKind.R_POW, 1): (
-        "D_L R + R D_L = -R", _rel_d_L_R),
-    (OperatorKind.D_L, OperatorKind.R_POW, 2): (
-        "D_L R^2 = R^2 D_L", _rel_d_L_J),
+    (OperatorKind.D_PLUS, OperatorKind.D_MINUS, None): _rel_d_plus_d_minus,
+    (OperatorKind.D_PLUS, OperatorKind.R_POW, 1): _rel_d_plus_R,
+    (OperatorKind.D_MINUS, OperatorKind.R_POW, 1): _rel_d_minus_R,
+    (OperatorKind.D_L, OperatorKind.R_POW, 1): _rel_d_L_R,
+    (OperatorKind.D_L, OperatorKind.R_POW, 2): _rel_d_L_J,
 }
 
 
 def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
                         points: Sequence[tuple[float, float]],
-                        cfg: StencilConfig | None = None,
-                        tolerance: float = 1e-5) -> ReportRecord:
+                        cfg: StencilConfig | None = None) -> float:
     """Max-norm residual of the asserted commutation relation of (A, B).
 
-    Supported pairs: (D+, D-), (D+, R), (D-, R), (D_L, R), (D_L, R^2);
+    Supported pairs and relations: D+ D- - D- D+ = I, D+ R = -2 pi i R D-,
+    D- R = (1/2 pi i) R D+, D_L R + R D_L = -R and D_L R^2 = R^2 D_L;
     anything else raises :class:`UnknownRelationError`.
     """
     cfg = cfg or StencilConfig()
@@ -230,21 +213,11 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
     if key not in _RELATIONS:
         raise UnknownRelationError(
             f"no verified relation for ({A.kind.value}, {B.kind.value})")
-    name, builder = _RELATIONS[key]
-
-    def residual() -> float:
-        pts = np.asarray(points, dtype=float)
-        a = pts[:, 0]
-        c = pts[:, 1]
-        _check_margin(F, a, c, cfg)
-        resid_fn = builder(_point_fn(F), cfg)
-        return float(np.max(np.abs(resid_fn(a, c))))
-
-    return ReportRecord.timed(
-        f"commutator:{name}",
-        {"A": A.kind.value, "B": B.kind.value, "h": cfg.h,
-         "order": 4, "points": len(points)},
-        tolerance, residual)
+    pts = np.asarray(points, dtype=float)
+    a, c = pts[:, 0], pts[:, 1]
+    _check_margin(F, a, c, cfg)
+    resid_fn = _RELATIONS[key](_point_fn(F), cfg)
+    return float(np.max(np.abs(resid_fn(a, c))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +225,8 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
 # ---------------------------------------------------------------------------
 
 def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
-                          cfg: StencilConfig | None = None,
-                          tolerance: float = 1e-5) -> ReportRecord:
-    """Verify the parity-flipping shift actions on the L-basis.
+                          cfg: StencilConfig | None = None) -> float:
+    """Max-norm residual of the parity-flipping shift actions on the L-basis.
 
     D_minus L_s^pm = L_{s-1}^mp and D_plus L_s^pm = -s L_{s+1}^mp, with
     the shifted functions evaluated by the series engine (not by
@@ -271,22 +243,17 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
                     f"L^{parity.value} vanishes identically at s = {s + shift}; "
                     "scan is degenerate at integer s")
 
-    def residual() -> float:
-        pts = np.asarray(samples, dtype=float)
-        a, c = pts[:, 0], pts[:, 1]
-        worst = 0.0
-        flip = {Parity.PLUS: Parity.MINUS, Parity.MINUS: Parity.PLUS}
-        for parity in (Parity.PLUS, Parity.MINUS):
-            Ls = l_pm_twisted(s, parity)
-            down = l_pm_twisted(s - 1, flip[parity])
-            up = l_pm_twisted(s + 1, flip[parity])
-            lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, cfg)
-            raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, cfg)
-            worst = max(worst,
-                        float(np.max(np.abs(lower - down.extend(a, c)))),
-                        float(np.max(np.abs(raise_ + s * up.extend(a, c)))))
-        return worst
-
-    return ReportRecord.timed(
-        "raising_lowering", {"s": s, "h": cfg.h, "points": len(samples)},
-        tolerance, residual)
+    pts = np.asarray(samples, dtype=float)
+    a, c = pts[:, 0], pts[:, 1]
+    worst = 0.0
+    flip = {Parity.PLUS: Parity.MINUS, Parity.MINUS: Parity.PLUS}
+    for parity in (Parity.PLUS, Parity.MINUS):
+        Ls = l_pm_twisted(s, parity)
+        down = l_pm_twisted(s - 1, flip[parity])
+        up = l_pm_twisted(s + 1, flip[parity])
+        lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, cfg)
+        raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, cfg)
+        worst = max(worst,
+                    float(np.max(np.abs(lower - down.extend(a, c)))),
+                    float(np.max(np.abs(raise_ + s * up.extend(a, c)))))
+    return worst

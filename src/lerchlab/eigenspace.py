@@ -268,93 +268,70 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
     test points drawn from a fixed seed.
     """
     s = complex(s)
-    if path == "a_path":
-        if s.real <= 0:
-            raise DomainError("a_path requires Re(s) > 0")
-    elif path == "c_path":
-        if s.real >= 1:
-            raise DomainError("c_path requires Re(s) < 1")
-    else:
+    if path not in ("a_path", "c_path"):
         raise DomainError("path must be 'a_path' or 'c_path'")
+    a_path = path == "a_path"
+    if a_path and s.real <= 0:
+        raise DomainError("a_path requires Re(s) > 0")
+    if not a_path and s.real >= 1:
+        raise DomainError("c_path requires Re(s) < 1")
 
     base = [0.17, 0.43, 0.68]
     shifts = [-1, 0, 1]
     hecke_pairs = [(2, base[0]), (3, base[1])]
     levels = [b + sh for b in base for sh in shifts]
     levels += [m * b for m, b in hecke_pairs]
-    sigma = s.real
-
-    if path == "a_path":
-        coeffs = _slice_coeff_matrix(F, "a_axis", levels, N)
-        samples = []
-        for (n, idx), v in coeffs.items():
-            x = levels[idx]
-            t = n + x
-            if abs(t) < 0.05:
-                continue
-            tilde = v * np.exp(s * math.log(abs(t)))
-            weight = abs(t) ** (-sigma)
-            samples.append((tilde, weight, 1 if t > 0 else -1))
-        A, B, dev = _fit_sides(samples)
-        # dilation identity f_{mn}(m c) = m^(-s) f_n(c) on sampled pairs
-        hecke_res = 0.0
-        for m, b in hecke_pairs:
-            i_base = levels.index(b)
+    # a_path: a-slices at t = n + x with exponent s and the L-basis;
+    # c_path: c-slices at t = x - n with exponent 1 - s and the R-basis
+    expo = s if a_path else 1.0 - s
+    coeffs = _slice_coeff_matrix(F, "a_axis" if a_path else "c_axis",
+                                 levels, N)
+    samples = []
+    for (n, idx), v in coeffs.items():
+        x = levels[idx]
+        t = n + x if a_path else x - n
+        if abs(t) < 0.05:
+            continue
+        tilde = v * np.exp(expo * math.log(abs(t)))
+        weight = abs(t) ** (-expo.real)
+        samples.append((tilde, weight, 1 if t > 0 else -1))
+    A, B, dev = _fit_sides(samples)
+    hecke_res = 0.0
+    for m, b in hecke_pairs:
+        i_base = levels.index(b)
+        if a_path:
+            # dilation identity f_{mn}(m c) = m^(-s) f_n(c) on sampled pairs
+            eig = np.exp(-s * math.log(m))
             i_dil = levels.index(m * b)
             for n in range(-2, 3):
                 if (m * n, i_dil) in coeffs and (n, i_base) in coeffs:
                     lhs = coeffs[(m * n, i_dil)]
-                    rhs = np.exp(-s * math.log(m)) * coeffs[(n, i_base)]
+                    rhs = eig * coeffs[(n, i_base)]
                     hecke_res = max(hecke_res, abs(lhs - rhs))
-        if dev > _VIOLATION_TOL or hecke_res > _VIOLATION_TOL:
-            raise IdentityViolationError(
-                "normalized Fourier coefficients are not piecewise constant; "
-                "F is not in the eigenspace at this s",
-                deviation=max(dev, hecke_res))
-        Lp = l_pm_twisted(s, Parity.PLUS)
-        Lm = l_pm_twisted(s, Parity.MINUS)
-        ca, cb = 0.5 * (A + B), 0.5 * (A - B)
-
-        def h_core(aa, cc, _Lp=Lp, _Lm=Lm, _ca=ca, _cb=cb):
-            return _ca * _Lp.extend(aa, cc) + _cb * _Lm.extend(aa, cc)
-
-        matched = TwistedFn(h_core, F.denominator, f"H[a_path](s={s})")
-    else:
-        coeffs = _slice_coeff_matrix(F, "c_axis", levels, N)
-        samples = []
-        for (n, idx), v in coeffs.items():
-            x = levels[idx]
-            t = x - n
-            if abs(t) < 0.05:
-                continue
-            tilde = v * np.exp((1.0 - s) * math.log(abs(t)))
-            weight = abs(t) ** (sigma - 1.0)
-            samples.append((tilde, weight, 1 if t > 0 else -1))
-        A, B, dev = _fit_sides(samples)
-        # dual dilation identity g_{mn-k}(a) = m^(s-1) g_n((a+k)/m)
-        hecke_res = 0.0
-        for m, b in hecke_pairs:
-            i_base = levels.index(b)
+        else:
+            # dual dilation identity g_{mn-k}(a) = m^(s-1) g_n((a+k)/m)
+            eig = np.exp((s - 1.0) * math.log(m))
             for k in range(m):
                 sl = fourier_slice(F, "c_axis", (b + k) / m, N)
                 for n in range(-1, 2):
                     if (m * n - k, i_base) in coeffs:
                         lhs = coeffs[(m * n - k, i_base)]
-                        rhs = np.exp((s - 1.0) * math.log(m)) * sl.coefficients[n]
-                        hecke_res = max(hecke_res, abs(lhs - rhs))
-        if dev > _VIOLATION_TOL or hecke_res > _VIOLATION_TOL:
-            raise IdentityViolationError(
-                "normalized Fourier coefficients are not piecewise constant; "
-                "F is not in the eigenspace at this s",
-                deviation=max(dev, hecke_res))
-        Rp = apply_R(l_pm_twisted(1 - s, Parity.PLUS), 1)
-        Rm = apply_R(l_pm_twisted(1 - s, Parity.MINUS), 1)
-        ca, cb = 0.5 * (A + B), 0.5 * (A - B)
+                        hecke_res = max(hecke_res, abs(lhs - eig * sl[n]))
+    if dev > _VIOLATION_TOL or hecke_res > _VIOLATION_TOL:
+        raise IdentityViolationError(
+            "normalized Fourier coefficients are not piecewise constant; "
+            "F is not in the eigenspace at this s",
+            deviation=max(dev, hecke_res))
+    plus, minus = (l_pm_twisted(expo, parity)
+                   for parity in (Parity.PLUS, Parity.MINUS))
+    if not a_path:
+        plus, minus = apply_R(plus, 1), apply_R(minus, 1)
+    ca, cb = 0.5 * (A + B), 0.5 * (A - B)
 
-        def h_core(aa, cc, _Rp=Rp, _Rm=Rm, _ca=ca, _cb=cb):
-            return _ca * _Rp.extend(aa, cc) + _cb * _Rm.extend(aa, cc)
+    def h_core(aa, cc):
+        return ca * plus.extend(aa, cc) + cb * minus.extend(aa, cc)
 
-        matched = TwistedFn(h_core, F.denominator, f"H[c_path](s={s})")
+    matched = TwistedFn(h_core, F.denominator, f"H[{path}](s={s})")
 
     rng = np.random.default_rng(7)
     pa = rng.uniform(0.06, 0.94, 40)

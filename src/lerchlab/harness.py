@@ -7,9 +7,10 @@ orders at c = 0, 1, so the twisted-periodic extension of such a function
 is globally smooth and every quadrature below converges at spectral rate;
 they are the dense-subspace surrogates for the L^p statements.
 
-Each check group returns a list of ReportRecord; `run_suite` executes the
-selected groups, writes a JSON array plus a CSV summary, and its exit
-status is 0 exactly when every record passed.
+Each check group yields rows (identity, params, tolerance, residual) that
+`_check_group` turns into the ReportRecords of CHECK_GROUPS[name];
+`run_suite` executes the selected groups, writes a JSON array plus a CSV
+summary, and its exit status is 0 exactly when every record passed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .lerch_core import (
 )
 from .quadrature import QuadratureGrid, rectangle_grid, unit_square_grid
 from .report import ReportRecord, timed_call
-from .special_functions import Parity, root_number, tate_gamma
+from .special_functions import Parity, complex_gamma, root_number, tate_gamma
 from .twisted_space import (
     OperatorKind,
     OperatorSpec,
@@ -52,9 +53,6 @@ __all__ = [
     "smooth_twisted_fn",
     "inner_product",
     "lp_norm",
-    "adjoint_check",
-    "norm_identity_check",
-    "lp_bound_check",
     "run_suite",
     "CHECK_GROUPS",
     "load_config",
@@ -136,101 +134,79 @@ def _lp_norm_of(values: np.ndarray, grid: QuadratureGrid, p: float) -> float:
     return float(np.sum(grid.weights * vals ** p) ** (1.0 / p))
 
 
-def _grid_c_refined(m: int, points_per_panel: int = 20) -> QuadratureGrid:
+def _sup(values) -> float:
+    """Max-norm over the sample points."""
+    return float(np.max(np.abs(values)))
+
+
+def _rel_sup(diff, values) -> float:
+    """Max over the sample points of |diff| / (1 + |values|)."""
+    return float(np.max(np.abs(diff) / (1.0 + np.abs(values))))
+
+
+def _grid_c_refined(m: int) -> QuadratureGrid:
     """Suitable for T_m images: two panels per dilated c-period."""
-    return rectangle_grid(4, max(4, 2 * m), points_per_panel)
+    return rectangle_grid(4, max(4, 2 * m), 20)
 
 
-def _grid_a_refined(m: int, points_per_panel: int = 20) -> QuadratureGrid:
+def _grid_a_refined(m: int) -> QuadratureGrid:
     """Suitable for S_m images: two panels per dilated a-period."""
-    return rectangle_grid(max(4, 2 * m), 4, points_per_panel)
+    return rectangle_grid(max(4, 2 * m), 4, 20)
 
 
-def adjoint_check(m: int, trials: int,
-                  rng: np.random.Generator | None = None,
-                  tolerance: float = 1e-7) -> ReportRecord:
+def _adjoint_resid(m: int, trials: int, rng: np.random.Generator) -> float:
     """|<T_m f, g> - <f, S_m g>| / (||f|| ||g||) over random smooth pairs."""
-    if m > 8:
-        raise DomainError("adjoint_check supports m <= 8 (quadrature cost)")
-    rng = rng or np.random.default_rng(42)
     grid_t = _grid_c_refined(m)
     grid_s = _grid_a_refined(m)
-
-    def residual() -> float:
-        worst = 0.0
-        for _ in range(trials):
-            f = smooth_twisted_fn(rng)
-            g = smooth_twisted_fn(rng)
-            g_t = g.extend(grid_t.a, grid_t.c)
-            tf_t = apply_hecke(OperatorKind.T, m, f).extend(grid_t.a, grid_t.c)
-            lhs = grid_t.integrate(tf_t * np.conj(g_t))
-            rhs = inner_product(f, apply_hecke(OperatorKind.S, m, g), grid_s)
-            scale = lp_norm(f, grid_t, 2) * _lp_norm_of(g_t, grid_t, 2)
-            worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
-        return worst
-
-    return ReportRecord.timed(
-        "adjoint:T_m*=S_m", {"m": m, "trials": trials}, tolerance, residual)
+    worst = 0.0
+    for _ in range(trials):
+        f = smooth_twisted_fn(rng)
+        g = smooth_twisted_fn(rng)
+        g_t = g.extend(grid_t.a, grid_t.c)
+        tf_t = apply_hecke(OperatorKind.T, m, f).extend(grid_t.a, grid_t.c)
+        lhs = grid_t.integrate(tf_t * np.conj(g_t))
+        rhs = inner_product(f, apply_hecke(OperatorKind.S, m, g), grid_s)
+        scale = lp_norm(f, grid_t, 2) * _lp_norm_of(g_t, grid_t, 2)
+        worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
+    return worst
 
 
-def norm_identity_check(m: int, trials: int,
-                        rng: np.random.Generator | None = None,
-                        tolerance: float = 1e-8) -> ReportRecord:
+def _norm_identity_resid(m: int, trials: int,
+                         rng: np.random.Generator) -> float:
     """| ||T_m f||_2 - m^(-1/2) ||f||_2 | / ||f||_2 (unitarity of sqrt(m) T_m)."""
-    if m > 8:
-        raise DomainError("norm_identity_check supports m <= 8")
-    rng = rng or np.random.default_rng(42)
     grid = _grid_c_refined(m)
-
-    def residual() -> float:
-        worst = 0.0
-        for _ in range(trials):
-            f = smooth_twisted_fn(rng)
-            tn = lp_norm(apply_hecke(OperatorKind.T, m, f), grid, 2)
-            fn = lp_norm(f, grid, 2)
-            worst = max(worst, abs(tn - fn / math.sqrt(m)) / max(fn, 1e-30))
-        return worst
-
-    return ReportRecord.timed(
-        "norm:||T_m f|| = m^-1/2 ||f||", {"m": m, "trials": trials},
-        tolerance, residual)
+    worst = 0.0
+    for _ in range(trials):
+        f = smooth_twisted_fn(rng)
+        tn = lp_norm(apply_hecke(OperatorKind.T, m, f), grid, 2)
+        fn = lp_norm(f, grid, 2)
+        worst = max(worst, abs(tn - fn / math.sqrt(m)) / max(fn, 1e-30))
+    return worst
 
 
-def lp_bound_check(m: int, p: float, trials: int,
-                   rng: np.random.Generator | None = None) -> ReportRecord:
-    """Verify ||T_m f||_p <= m ||f||_p and the same for S_m (slack reported).
+def _lp_bound_resid(m: int, p: float, trials: int,
+                    rng: np.random.Generator) -> float:
+    """Slack of ||T_m f||_p <= m ||f||_p and the same for S_m.
 
     The residual is max(ratio/m) - 1 clipped at 0, so any positive value
     is a genuine violation; p = inf uses a supremum sampled at 10^4
     points (a lower bound on the true sup for both sides).
     """
-    rng = rng or np.random.default_rng(42)
-
-    def residual() -> float:
-        worst = 0.0
-        if math.isinf(p):
-            xs = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
-            ys = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
-
-            def norm(F: TwistedFn) -> float:
-                return float(np.max(np.abs(F.extend(xs, ys))))
-        else:
-            grid = unit_square_grid(max(4, 2 * m), 16)
-
-            def norm(F: TwistedFn) -> float:
-                return lp_norm(F, grid, p)
-        for _ in range(trials):
-            f = smooth_twisted_fn(rng)
-            den = norm(f)
-            for kind in (OperatorKind.T, OperatorKind.S):
-                num = norm(apply_hecke(kind, m, f))
-                worst = max(worst, num / max(den, 1e-30) / m - 1.0)
-        return max(worst, 0.0)
-
-    return ReportRecord.timed(
-        "lp_bound:||T_m f||_p <= m ||f||_p",
-        {"m": m, "p": ("inf" if math.isinf(p) else p), "trials": trials},
-        0.0, residual)
+    if math.isinf(p):
+        xs = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
+        ys = rng.uniform(1e-3, 1.0 - 1e-3, 10_000)
+        norm = lambda F: _sup(F.extend(xs, ys))
+    else:
+        grid = unit_square_grid(max(4, 2 * m), 16)
+        norm = lambda F: lp_norm(F, grid, p)
+    worst = 0.0
+    for _ in range(trials):
+        f = smooth_twisted_fn(rng)
+        den = norm(f)
+        for kind in (OperatorKind.T, OperatorKind.S):
+            num = norm(apply_hecke(kind, m, f))
+            worst = max(worst, num / max(den, 1e-30) / m - 1.0)
+    return max(worst, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +298,31 @@ def _parse_value(value: str, template):
 # check groups
 # ---------------------------------------------------------------------------
 
-def _rel_resid(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+CHECK_GROUPS: dict[str, Callable[[dict, np.random.Generator],
+                                 list[ReportRecord]]] = {}
 
 
-def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
-    from .special_functions import complex_gamma
+def _check_group(rows):
+    """Register a generator of check rows as CHECK_GROUPS[name].
 
-    records = []
+    ``rows(cfg, rng)`` yields (identity, params, tolerance, residual),
+    with ``residual`` a zero-argument callable; the registered group
+    times each residual into a ReportRecord.  Rows are consumed one at a
+    time, in order, and each residual runs before the next row is asked
+    for, so every draw from the group's stream happens where the
+    generator's code puts it, and a residual may read loop variables
+    late (``lambda: _adjoint_resid(m, trials, rng)`` inside a loop over
+    m).  The group returns only when all of its rows have run.
+    """
+    def group(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
+        return [ReportRecord.timed(*row) for row in rows(cfg, rng)]
 
+    CHECK_GROUPS[rows.__name__.removeprefix("group_")] = group
+    return group
+
+
+@_check_group
+def group_special_fns(cfg: dict, rng: np.random.Generator):
     def gamma_recurrence() -> float:
         worst = 0.0
         for _ in range(200):
@@ -344,8 +336,7 @@ def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
             worst = max(worst, abs(g1.value - z * g0.value) / abs(g1.value))
         return worst
 
-    records.append(ReportRecord.timed(
-        "gamma:recurrence", {"samples": 200}, 1e-11, gamma_recurrence))
+    yield "gamma:recurrence", {"samples": 200}, 1e-11, gamma_recurrence
 
     def tate_reflection() -> float:
         worst = 0.0
@@ -363,8 +354,7 @@ def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
             count += 1
         return worst
 
-    records.append(ReportRecord.timed("tate_gamma:reflection",
-                                      {"samples": 200}, 1e-10, tate_reflection))
+    yield "tate_gamma:reflection", {"samples": 200}, 1e-10, tate_reflection
 
     def root_numbers() -> float:
         wp = root_number(Parity.PLUS)
@@ -372,18 +362,15 @@ def group_special_fns(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
         return max(abs(wp - 1.0), abs(wm - 1j),
                    abs(wp ** 4 - 1.0), abs(wm ** 4 - 1.0))
 
-    records.append(ReportRecord.timed("root_number:values",
-                                      {}, 0.0, root_numbers))
-    return records
+    yield "root_number:values", {}, 0.0, root_numbers
 
 
-def group_functional_equations(cfg: dict,
-                               rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_functional_equations(cfg: dict, rng: np.random.Generator):
     """Completed-function equations at random s on the critical line and
     in the strip; residuals are relative (the gamma factors decay fast in
     |Im s|, making absolute residuals vacuous)."""
     n = int(cfg["fe_samples"])
-    tol = float(cfg["fe_tol"])
     im_max = float(cfg["fe_im_max"])
     samples = []
     for i in range(n):
@@ -399,26 +386,24 @@ def group_functional_equations(cfg: dict,
             lhs = completed_L(LerchParams(s, a, c), parity).value
             rhs_inner = completed_L(LerchParams(1 - s, 1 - c, a), parity).value
             rhs = root_number(parity) * np.exp(-2j * math.pi * a * c) * rhs_inner
-            worst = max(worst, _rel_resid(lhs, rhs))
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
         return worst
 
-    return [ReportRecord.timed(f"functional_equation:L{parity.value}-hat",
-                               {"samples": n, "im_max": im_max}, tol,
-                               lambda parity=parity: residual(parity))
-            for parity in (Parity.PLUS, Parity.MINUS)]
+    for parity in (Parity.PLUS, Parity.MINUS):
+        yield (f"functional_equation:L{parity.value}-hat",
+               {"samples": n, "im_max": im_max}, float(cfg["fe_tol"]),
+               lambda: residual(parity))
 
 
-def group_hecke_eigen(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
     """T_m F = m^(-s) F for both active basis members of the eigenspace."""
-    records = []
-    tol = float(cfg["hecke_tol"])
     m_max = int(cfg["hecke_m_max"])
     n_pts = int(cfg["hecke_points"])
-    for s in cfg["hecke_s"]:
-        s = complex(s)
+    for s in map(complex, cfg["hecke_s"]):
         basis = build_eigenspace(s)
 
-        def eigen_resid(s=s, basis=basis) -> float:
+        def eigen_resid() -> float:
             worst = 0.0
             for m in range(2, m_max + 1):
                 # keep sample points and their Hecke preimages off the 1/m grids
@@ -428,26 +413,25 @@ def group_hecke_eigen(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]
                 for F in basis.active():
                     tmf = apply_hecke(OperatorKind.T, m, F).extend(a, c)
                     fv = F.extend(a, c)
-                    worst = max(worst, float(np.max(np.abs(tmf - eig * fv)
-                                                    / (1.0 + np.abs(fv)))))
+                    worst = max(worst, _rel_sup(tmf - eig * fv, fv))
             return worst
 
-        records.append(ReportRecord.timed(
-            "hecke_eigen:T_m F = m^-s F",
-            {"s": s, "m_max": m_max, "points": n_pts, "basis": basis.active_pair},
-            tol, eigen_resid))
-    return records
+        yield ("hecke_eigen:T_m F = m^-s F",
+               {"s": s, "m_max": m_max, "points": n_pts,
+                "basis": basis.active_pair},
+               float(cfg["hecke_tol"]), eigen_resid)
 
 
-def group_operator_algebra(cfg: dict,
-                           rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_operator_algebra(cfg: dict, rng: np.random.Generator):
     """Composition laws of the four Hecke families on smooth twisted
     functions: T_m T_n = T_mn, S_m T_m = (1/m) I, the family collapses
     T_m_vee = T_m / S_m_vee = S_m, and cross-family commutativity."""
     tol = float(cfg["algebra_tol"])
     m_max = int(cfg["algebra_m_max"])
-    records = []
     f = smooth_twisted_fn(rng, label="algebra-test")
+    T = lambda m, F: apply_hecke(OperatorKind.T, m, F)
+    S = lambda m, F: apply_hecke(OperatorKind.S, m, F)
 
     def sample_points(denominator: int, n: int = 25):
         return (sample_off_lattice(rng, n, denominator, guard=1e-3),
@@ -460,80 +444,68 @@ def group_operator_algebra(cfg: dict,
                 if m * n_idx > m_max * 2:
                     continue
                 a, c = sample_points(m * n_idx * 4)
-                lhs = apply_hecke(OperatorKind.T, m,
-                                  apply_hecke(OperatorKind.T, n_idx, f))
-                rhs = apply_hecke(OperatorKind.T, m * n_idx, f)
-                worst = max(worst, float(np.max(np.abs(
-                    lhs.extend(a, c) - rhs.extend(a, c)))))
+                lhs = T(m, T(n_idx, f))
+                rhs = T(m * n_idx, f)
+                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c)))
         return worst
 
-    records.append(ReportRecord.timed(
-        "algebra:T_m T_n = T_mn", {"m_max": m_max}, tol, check_t_composition))
+    yield "algebra:T_m T_n = T_mn", {"m_max": m_max}, tol, check_t_composition
 
     def check_inverse() -> float:
         worst = 0.0
         for m in range(1, m_max + 1):
             a, c = sample_points(m * m * 2)
-            st = apply_hecke(OperatorKind.S, m, apply_hecke(OperatorKind.T, m, f))
-            ts = apply_hecke(OperatorKind.T, m, apply_hecke(OperatorKind.S, m, f))
+            st = S(m, T(m, f))
+            ts = T(m, S(m, f))
             base = f.extend(a, c)
             worst = max(worst,
-                        float(np.max(np.abs(st.extend(a, c) - base / m))),
-                        float(np.max(np.abs(ts.extend(a, c) - base / m))))
+                        _sup(st.extend(a, c) - base / m),
+                        _sup(ts.extend(a, c) - base / m))
         return worst
 
-    records.append(ReportRecord.timed("algebra:S_m T_m = T_m S_m = (1/m) I",
-                                      {"m_max": m_max}, tol, check_inverse))
+    yield ("algebra:S_m T_m = T_m S_m = (1/m) I", {"m_max": m_max}, tol,
+           check_inverse)
 
     def check_scaled_inverse() -> float:
         worst = 0.0
         for m in range(1, 4):
             for d in range(1, 4):
                 a, c = sample_points(d * m * m * 2)
-                lhs = apply_hecke(OperatorKind.S, m,
-                                  apply_hecke(OperatorKind.T, d * m, f))
-                rhs = apply_hecke(OperatorKind.T, d, f)
-                worst = max(worst, float(np.max(np.abs(
-                    lhs.extend(a, c) - rhs.extend(a, c) / m))))
+                lhs = S(m, T(d * m, f))
+                rhs = T(d, f)
+                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c) / m))
         return worst
 
-    records.append(ReportRecord.timed(
-        "algebra:S_m T_dm = (1/m) T_d",
-        {"m_max": 3, "d_max": 3}, tol, check_scaled_inverse))
+    yield ("algebra:S_m T_dm = (1/m) T_d", {"m_max": 3, "d_max": 3}, tol,
+           check_scaled_inverse)
 
     def check_family_collapse() -> float:
         worst = 0.0
         for m in range(1, m_max + 1):
             a, c = sample_points(m * 2)
             tv = apply_hecke(OperatorKind.T_VEE, m, f)
-            t = apply_hecke(OperatorKind.T, m, f)
+            t = T(m, f)
             sv = apply_hecke(OperatorKind.S_VEE, m, f)
-            s_ = apply_hecke(OperatorKind.S, m, f)
+            s_ = S(m, f)
             worst = max(worst,
-                        float(np.max(np.abs(tv.extend(a, c) - t.extend(a, c)))),
-                        float(np.max(np.abs(sv.extend(a, c) - s_.extend(a, c)))))
+                        _sup(tv.extend(a, c) - t.extend(a, c)),
+                        _sup(sv.extend(a, c) - s_.extend(a, c)))
         return worst
 
-    records.append(ReportRecord.timed(
-        "algebra:T_vee = T, S_vee = S",
-        {"m_max": m_max}, tol, check_family_collapse))
+    yield ("algebra:T_vee = T, S_vee = S", {"m_max": m_max}, tol,
+           check_family_collapse)
 
     def check_cross_commute() -> float:
         worst = 0.0
         for m in range(1, m_max + 1):
             for l in range(1, m_max + 1):
                 a, c = sample_points(m * l * 4)
-                lhs = apply_hecke(OperatorKind.S, m,
-                                  apply_hecke(OperatorKind.T, l, f))
-                rhs = apply_hecke(OperatorKind.T, l,
-                                  apply_hecke(OperatorKind.S, m, f))
-                worst = max(worst, float(np.max(np.abs(
-                    lhs.extend(a, c) - rhs.extend(a, c)))))
+                lhs = S(m, T(l, f))
+                rhs = T(l, S(m, f))
+                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c)))
         return worst
 
-    records.append(ReportRecord.timed(
-        "algebra:S_m T_l = T_l S_m",
-        {"m_max": m_max}, tol, check_cross_commute))
+    yield "algebra:S_m T_l = T_l S_m", {"m_max": m_max}, tol, check_cross_commute
 
     def check_r_order_four() -> float:
         a, c = sample_points(1)
@@ -542,62 +514,70 @@ def group_operator_algebra(cfg: dict,
             g = apply_R(g, 1)
         r2 = apply_R(apply_R(f, 1), 1)
         j = apply_R(f, 2)
-        return max(float(np.max(np.abs(g.extend(a, c) - f.extend(a, c)))),
-                   float(np.max(np.abs(r2.extend(a, c) - j.extend(a, c)))))
+        return max(_sup(g.extend(a, c) - f.extend(a, c)),
+                   _sup(r2.extend(a, c) - j.extend(a, c)))
 
-    records.append(ReportRecord.timed("algebra:R^4 = I",
-                                      {}, tol, check_r_order_four))
-    return records
+    yield "algebra:R^4 = I", {}, tol, check_r_order_four
 
 
-def group_commutators(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_commutators(cfg: dict, rng: np.random.Generator):
     """Differential commutation relations on a smooth twisted function,
     plus the observed fourth-order convergence under h-halving."""
     tol = float(cfg["commutator_tol"])
-    h = float(cfg["commutator_h"])
     f = smooth_twisted_fn(rng, label="commutator-test")
     pts = [(rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85))
            for _ in range(12)]
-    scfg = StencilConfig(h=h)
-    pairs = [
-        (OperatorSpec(OperatorKind.D_PLUS), OperatorSpec(OperatorKind.D_MINUS)),
-        (OperatorSpec(OperatorKind.D_PLUS), OperatorSpec(OperatorKind.R_POW, 1)),
-        (OperatorSpec(OperatorKind.D_MINUS), OperatorSpec(OperatorKind.R_POW, 1)),
-        (OperatorSpec(OperatorKind.D_L), OperatorSpec(OperatorKind.R_POW, 1)),
-        (OperatorSpec(OperatorKind.D_L), OperatorSpec(OperatorKind.R_POW, 2)),
-    ]
-    records = [commutator_residual(A, B, f, pts, scfg, tol) for A, B in pairs]
+    scfg = StencilConfig(h=float(cfg["commutator_h"]))
+    D_plus = OperatorSpec(OperatorKind.D_PLUS)
+    D_minus = OperatorSpec(OperatorKind.D_MINUS)
+    D_L = OperatorSpec(OperatorKind.D_L)
+    R = OperatorSpec(OperatorKind.R_POW, 1)
+    R2 = OperatorSpec(OperatorKind.R_POW, 2)
+    relations = [("D+ D- - D- D+ = I", D_plus, D_minus),
+                 ("D+ R = -2 pi i R D-", D_plus, R),
+                 ("D- R = (1/2 pi i) R D+", D_minus, R),
+                 ("D_L R + R D_L = -R", D_L, R),
+                 ("D_L R^2 = R^2 D_L", D_L, R2)]
+    for name, A, B in relations:
+        yield (f"commutator:{name}",
+               {"A": A.kind.value, "B": B.kind.value, "h": scfg.h,
+                "order": 4, "points": len(pts)},
+               tol, lambda: commutator_residual(A, B, f, pts, scfg))
 
     def convergence_order() -> float:
         # truncation must dominate roundoff, so measure at coarser h
         h0 = 8e-3
-        A = OperatorSpec(OperatorKind.D_L)
-        B = OperatorSpec(OperatorKind.R_POW, 1)
-        res = []
-        for hh in (h0, h0 / 2):
-            scfg_h = StencilConfig(h=hh)
-            r = commutator_residual(A, B, f, pts, scfg_h, tol)
-            res.append(max(r.residual, 1e-300))
+        res = [max(commutator_residual(D_L, R, f, pts, StencilConfig(h=hh)),
+                   1e-300) for hh in (h0, h0 / 2)]
         order = math.log2(res[0] / res[1])
         # pass iff observed order is ~4 (between 3 and 5.5)
         return 0.0 if 3.0 <= order <= 5.5 else abs(order - 4.0)
 
-    records.append(ReportRecord.timed("commutators:h-halving order ~ 4",
-                                      {"h0": 8e-3}, 0.0, convergence_order))
-    return records
+    yield "commutators:h-halving order ~ 4", {"h0": 8e-3}, 0.0, convergence_order
 
 
-def group_adjoint(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
-    records = []
+@_check_group
+def group_adjoint(cfg: dict, rng: np.random.Generator):
+    m_max = int(cfg["adjoint_m_max"])
+    if m_max > 8:
+        raise DomainError("adjoint group supports adjoint_m_max <= 8 "
+                          "(quadrature cost)")
     trials = int(cfg["adjoint_trials"])
-    for m in range(1, int(cfg["adjoint_m_max"]) + 1):
-        records.append(adjoint_check(m, trials, rng=rng,
-                                     tolerance=float(cfg["adjoint_tol"])))
-        records.append(norm_identity_check(m, trials, rng=rng,
-                                           tolerance=float(cfg["norm_tol"])))
+    for m in range(1, m_max + 1):
+        yield ("adjoint:T_m*=S_m", {"m": m, "trials": trials},
+               float(cfg["adjoint_tol"]),
+               lambda: _adjoint_resid(m, trials, rng))
+        yield ("norm:||T_m f|| = m^-1/2 ||f||", {"m": m, "trials": trials},
+               float(cfg["norm_tol"]),
+               lambda: _norm_identity_resid(m, trials, rng))
+    lp_trials = max(4, trials // 4)
     for m in (2, 3, 4):
         for p in (1.0, 2.0, math.inf):
-            records.append(lp_bound_check(m, p, max(4, trials // 4), rng=rng))
+            yield ("lp_bound:||T_m f||_p <= m ||f||_p",
+                   {"m": m, "p": ("inf" if math.isinf(p) else p),
+                    "trials": lp_trials},
+                   0.0, lambda: _lp_bound_resid(m, p, lp_trials, rng))
 
     def r_isometry() -> float:
         grid = unit_square_grid(4, 16)
@@ -611,31 +591,28 @@ def group_adjoint(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
                             / max(fn, 1e-30))
         return worst
 
-    records.append(ReportRecord.timed("adjoint:R isometry (p=1,2)",
-                                      {}, 1e-9, r_isometry))
-    return records
+    yield "adjoint:R isometry (p=1,2)", {}, 1e-9, r_isometry
 
 
-def group_differential_eigen(cfg: dict,
-                             rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_differential_eigen(cfg: dict, rng: np.random.Generator):
     """Raising/lowering shifts and the D_L / Delta_L eigenvalue identities
     on the eigenspace basis; derivatives by fourth-order stencils with a
     step coarse enough that series noise does not dominate the mixed
     partial."""
-    records = []
     tol = float(cfg["eigen_tol"])
     n_pts = int(cfg["eigen_points"])
     # first-order stencils tolerate a fine step; the mixed partial in D_L
     # wants a coarser one so series noise stays below its h^-2 weight
     scan_cfg = StencilConfig(h=1e-4)
     scfg = StencilConfig(h=1e-3)
-    for s in cfg["eigen_s"]:
-        s = complex(s)
+    for s in map(complex, cfg["eigen_s"]):
         pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
                for _ in range(n_pts)]
-        records.append(raising_lowering_scan(s, pts, scan_cfg, tol))
+        yield ("raising_lowering", {"s": s, "h": scan_cfg.h, "points": n_pts},
+               tol, lambda: raising_lowering_scan(s, pts, scan_cfg))
 
-        def eigen_resid(s=s, pts=pts) -> float:
+        def eigen_resid() -> float:
             basis = build_eigenspace(s)
             a = np.array([p[0] for p in pts])
             c = np.array([p[1] for p in pts])
@@ -643,59 +620,50 @@ def group_differential_eigen(cfg: dict,
             for F in basis.active():
                 fv = F.extend(a, c)
                 dl = apply_D(OperatorKind.D_L, F, a, c, scfg)
-                worst = max(worst, float(np.max(
-                    np.abs(dl + s * fv) / (1.0 + np.abs(fv)))))
+                worst = max(worst, _rel_sup(dl + s * fv, fv))
                 delta = apply_D(OperatorKind.DELTA_L, F, a, c, scfg)
-                worst = max(worst, float(np.max(
-                    np.abs(delta + (s - 0.5) * fv) / (1.0 + np.abs(fv)))))
+                worst = max(worst, _rel_sup(delta + (s - 0.5) * fv, fv))
             return worst
 
-        records.append(ReportRecord.timed(
-            "differential_eigen:D_L F = -s F, Delta_L F = -(s-1/2) F",
-            {"s": s, "points": n_pts, "h": scfg.h}, tol, eigen_resid))
-    return records
+        yield ("differential_eigen:D_L F = -s F, Delta_L F = -(s-1/2) F",
+               {"s": s, "points": n_pts, "h": scfg.h}, tol, eigen_resid)
 
 
-def group_eigenspace_structure(cfg: dict,
-                               rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
     """Two-dimensionality (Gram rank), J-eigenvalues, and the R-action."""
-    records = []
     gap_min = float(cfg["gram_gap_min"])
-    for s in cfg["eigen_structure_s"]:
-        s = complex(s)
+    r_tol = float(cfg["r_action_tol"])
+    for s in map(complex, cfg["eigen_structure_s"]):
         basis = build_eigenspace(s)
 
-        def gram_gap(s=s, basis=basis) -> float:
+        def gram_gap() -> float:
             a = rng.uniform(0.08, 0.92, 60)
             c = rng.uniform(0.08, 0.92, 60)
-            cols = []
-            for name in ("L+", "L-", "R+", "R-"):
-                cols.append(basis.member(name).extend(a, c))
-            V = np.stack(cols, axis=1)
+            V = np.stack([basis.member(name).extend(a, c)
+                          for name in ("L+", "L-", "R+", "R-")], axis=1)
             gram = V.conj().T @ V / V.shape[0]
             sv = np.linalg.svd(gram, compute_uv=False)
             gap = sv[1] / max(sv[2], 1e-300)
             # residual formulated so that pass = gap above threshold
             return 0.0 if gap > gap_min else 1.0 / max(gap, 1e-300)
 
-        records.append(ReportRecord.timed(
-            "eigenspace:gram rank 2",
-            {"s": s, "gap_min": gap_min}, 0.0, gram_gap))
+        yield ("eigenspace:gram rank 2", {"s": s, "gap_min": gap_min}, 0.0,
+               gram_gap)
 
-        def j_resid(s=s, basis=basis) -> float:
+        def j_resid() -> float:
             fp, fm = j_split(basis)
             a = rng.uniform(0.05, 0.95, 20)
             c = rng.uniform(0.05, 0.95, 20)
             jp = apply_R(fp, 2)
             jm = apply_R(fm, 2)
             return max(
-                float(np.max(np.abs(jp.extend(a, c) - fp.extend(a, c)))),
-                float(np.max(np.abs(jm.extend(a, c) + fm.extend(a, c)))))
+                _sup(jp.extend(a, c) - fp.extend(a, c)),
+                _sup(jm.extend(a, c) + fm.extend(a, c)))
 
-        records.append(ReportRecord.timed(
-            "eigenspace:J F = +- F", {"s": s}, float(cfg["j_tol"]), j_resid))
+        yield "eigenspace:J F = +- F", {"s": s}, float(cfg["j_tol"]), j_resid
 
-        def r_action(s=s, basis=basis) -> float:
+        def r_action() -> float:
             a = rng.uniform(0.05, 0.95, 20)
             c = rng.uniform(0.05, 0.95, 20)
             worst = 0.0
@@ -706,30 +674,27 @@ def group_eigenspace_structure(cfg: dict,
                 target = l_pm_twisted(1.0 - s, parity)
                 lhs = apply_R(basis.member(name), 1).extend(a, c)
                 rhs = g.value / root_number(parity) * target.extend(a, c)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+                worst = max(worst, _sup(lhs - rhs))
             return worst
 
-        records.append(ReportRecord.timed(
-            "eigenspace:R L_s = w^-1 gamma(1-s) L_(1-s)",
-            {"s": s}, float(cfg["r_action_tol"]), r_action))
-
-        records.append(ReportRecord.timed(
-            "eigenspace:L = w gamma(1-s) R dependency",
-            {"s": s}, float(cfg["r_action_tol"]),
-            lambda basis=basis: dependency_residual(
-                basis, rng.uniform(0.1, 0.9, (15, 2)))))
-    return records
+        yield ("eigenspace:R L_s = w^-1 gamma(1-s) L_(1-s)", {"s": s}, r_tol,
+               r_action)
+        yield ("eigenspace:L = w gamma(1-s) R dependency", {"s": s}, r_tol,
+               lambda: dependency_residual(basis,
+                                           rng.uniform(0.1, 0.9, (15, 2))))
 
 
 def group_characterization(cfg: dict,
                            rng: np.random.Generator) -> list[ReportRecord]:
     """Round-trip: characterize zeta_star, recover (A, B) = (1, 0); reject
-    the untwisted counterexample."""
+    the untwisted counterexample.  The two records of one s share one
+    `characterize` call and both carry its time."""
+    if not cfg["char_s"]:
+        raise DomainError("char_s needs at least one s")
     records = []
     ab_tol = float(cfg["char_ab_tol"])
     res_tol = float(cfg["char_residual_tol"])
-    for s in cfg["char_s"]:
-        s = complex(s)
+    for s in map(complex, cfg["char_s"]):
         F = lerch_star_twisted(s)
         result, ms = timed_call(lambda: characterize(F, s, "a_path"))
         records.append(ReportRecord.from_residual(
@@ -756,6 +721,9 @@ def group_characterization(cfg: dict,
     return records
 
 
+CHECK_GROUPS["characterization"] = group_characterization
+
+
 class _PlainPeriodicFn(TwistedFn):
     """Periodic extension WITHOUT the twist phase: satisfies the Hecke
     eigenvalue and integrability conditions but violates
@@ -769,17 +737,14 @@ class _PlainPeriodicFn(TwistedFn):
                           dtype=np.complex128)
 
 
-def group_milnor_baseline(cfg: dict,
-                          rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_milnor_baseline(cfg: dict, rng: np.random.Generator):
     """One-variable Kubert eigenfunction identity on the Hurwitz basis,
     with the reflection splitting into even/odd members."""
-    records = []
-    tol = float(cfg["milnor_tol"])
     m_max = int(cfg["milnor_m_max"])
-    for s in cfg["milnor_s"]:
-        s = complex(s)
+    for s in map(complex, cfg["milnor_s"]):
 
-        def kubert_resid(s=s) -> float:
+        def kubert_resid() -> float:
             xs = rng.uniform(0.05, 0.95, 15)
             f1 = lambda x: hurwitz_many(1.0 - s, x, 1e-13)[0]
             f2 = lambda x: hurwitz_many(1.0 - s, 1.0 - x, 1e-13)[0]
@@ -787,19 +752,16 @@ def group_milnor_baseline(cfg: dict,
             for m in range(1, m_max + 1):
                 eig = np.exp(-s * math.log(m)) if m > 1 else 1.0
                 for f in (f1, f2):
-                    worst = max(worst, float(np.max(np.abs(
-                        kubert_1d(m, f, xs) - eig * f(xs)))))
+                    worst = max(worst, _sup(kubert_1d(m, f, xs) - eig * f(xs)))
             # J_0 split: even/odd combinations are +-1 eigenfunctions
             even = lambda x: f1(x) + f2(x)
             odd = lambda x: f1(x) - f2(x)
-            worst = max(worst, float(np.max(np.abs(even(1 - xs) - even(xs)))),
-                        float(np.max(np.abs(odd(1 - xs) + odd(xs)))))
+            worst = max(worst, _sup(even(1 - xs) - even(xs)),
+                        _sup(odd(1 - xs) + odd(xs)))
             return worst
 
-        records.append(ReportRecord.timed(
-            "milnor:Kubert eigenfunctions (Hurwitz basis)",
-            {"s": s, "m_max": m_max}, tol, kubert_resid))
-    return records
+        yield ("milnor:Kubert eigenfunctions (Hurwitz basis)",
+               {"s": s, "m_max": m_max}, float(cfg["milnor_tol"]), kubert_resid)
 
 
 def _dilation_noise(c: float, M: int, sigma: float) -> float:
@@ -812,14 +774,17 @@ def _dilation_noise(c: float, M: int, sigma: float) -> float:
     return float(np.sum(16.0 * eps * np.sqrt(m) * dist ** (-sigma)))
 
 
-def group_zeta_operator(cfg: dict, rng: np.random.Generator) -> list[ReportRecord]:
+@_check_group
+def group_zeta_operator(cfg: dict, rng: np.random.Generator):
     """Partial sums of the zeta operator against zeta(s) zeta(s, a, c),
     within the eigenvalue tail bound plus the explicit cancellation-noise
-    floor."""
+    floor.  sum_m T_m F converges to zeta(s) F only for Re s > 1."""
     M = int(cfg["zeta_op_M"])
     s = complex(cfg["zeta_op_s"])
     n_pts = int(cfg["zeta_op_points"])
     sigma = s.real
+    if sigma <= 1.0:
+        raise DomainError(f"zeta_op_s = {s} needs Re s > 1")
 
     def sample_c() -> float:
         # keep every dilated argument m*c clear of the integer lattice so
@@ -846,24 +811,8 @@ def group_zeta_operator(cfg: dict, rng: np.random.Generator) -> list[ReportRecor
         # ratio <= 1 means within the stated bound
         return max(0.0, worst - 1.0)
 
-    return [ReportRecord.timed("zeta_operator:partial sums within tail bound",
-                               {"M": M, "s": s, "points": n_pts}, 0.0, resid)]
-
-
-CHECK_GROUPS: dict[str, Callable[[dict, np.random.Generator],
-                                 list[ReportRecord]]] = {
-    "special_fns": group_special_fns,
-    "functional_equations": group_functional_equations,
-    "hecke_eigen": group_hecke_eigen,
-    "operator_algebra": group_operator_algebra,
-    "commutators": group_commutators,
-    "adjoint": group_adjoint,
-    "differential_eigen": group_differential_eigen,
-    "eigenspace_structure": group_eigenspace_structure,
-    "characterization": group_characterization,
-    "milnor_baseline": group_milnor_baseline,
-    "zeta_operator": group_zeta_operator,
-}
+    yield ("zeta_operator:partial sums within tail bound",
+           {"M": M, "s": s, "points": n_pts}, 0.0, resid)
 
 
 # ---------------------------------------------------------------------------

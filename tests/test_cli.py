@@ -123,6 +123,23 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config", [
+        # sum_m T_m F converges to zeta(s) F only for Re s > 1; below, the
+        # tail bound is negative and the check would pass vacuously
+        "groups = zeta_operator\nzeta_op_s = 0.5\nzeta_op_M = 20\n"
+        "zeta_op_points = 2\n",
+        "groups = characterization\nchar_s =\n",
+    ], ids=["zeta_op_s_at_most_1", "empty_char_s"])
+    def test_config_outside_a_check_domain_is_exit_2(self, tmp_path, capsys,
+                                                      config):
+        cfg = tmp_path / "domain.cfg"
+        cfg.write_text(config)
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg),
+                               "--json-out", str(tmp_path / "r.json"),
+                               "--csv-out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert err.startswith("config error: ")
+
 
 class TestReport:
     def test_rerender(self, tmp_path, capsys):
