@@ -302,6 +302,16 @@ CHECK_GROUPS: dict[str, Callable[[dict, np.random.Generator],
                                  list[ReportRecord]]] = {}
 
 
+def _size(cfg: dict, key: str, least: int) -> int:
+    """cfg[key] as an int; DomainError below ``least``, since there the
+    checks that the key sizes test nothing and pass with residual 0."""
+    value = int(cfg[key])
+    if value < least:
+        raise DomainError(f"{key} = {value} leaves its checks vacuous; "
+                          f"it must be at least {least}")
+    return value
+
+
 def _check_group(rows):
     """Register a generator of check rows as CHECK_GROUPS[name].
 
@@ -370,7 +380,7 @@ def group_functional_equations(cfg: dict, rng: np.random.Generator):
     """Completed-function equations at random s on the critical line and
     in the strip; residuals are relative (the gamma factors decay fast in
     |Im s|, making absolute residuals vacuous)."""
-    n = int(cfg["fe_samples"])
+    n = _size(cfg, "fe_samples", 1)
     im_max = float(cfg["fe_im_max"])
     samples = []
     for i in range(n):
@@ -398,8 +408,8 @@ def group_functional_equations(cfg: dict, rng: np.random.Generator):
 @_check_group
 def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
     """T_m F = m^(-s) F for both active basis members of the eigenspace."""
-    m_max = int(cfg["hecke_m_max"])
-    n_pts = int(cfg["hecke_points"])
+    m_max = _size(cfg, "hecke_m_max", 2)
+    n_pts = _size(cfg, "hecke_points", 1)
     for s in map(complex, cfg["hecke_s"]):
         basis = build_eigenspace(s)
 
@@ -428,7 +438,7 @@ def group_operator_algebra(cfg: dict, rng: np.random.Generator):
     functions: T_m T_n = T_mn, S_m T_m = (1/m) I, the family collapses
     T_m_vee = T_m / S_m_vee = S_m, and cross-family commutativity."""
     tol = float(cfg["algebra_tol"])
-    m_max = int(cfg["algebra_m_max"])
+    m_max = _size(cfg, "algebra_m_max", 2)
     f = smooth_twisted_fn(rng, label="algebra-test")
     T = lambda m, F: apply_hecke(OperatorKind.T, m, F)
     S = lambda m, F: apply_hecke(OperatorKind.S, m, F)
@@ -559,11 +569,11 @@ def group_commutators(cfg: dict, rng: np.random.Generator):
 
 @_check_group
 def group_adjoint(cfg: dict, rng: np.random.Generator):
-    m_max = int(cfg["adjoint_m_max"])
+    m_max = _size(cfg, "adjoint_m_max", 2)
     if m_max > 8:
         raise DomainError("adjoint group supports adjoint_m_max <= 8 "
                           "(quadrature cost)")
-    trials = int(cfg["adjoint_trials"])
+    trials = _size(cfg, "adjoint_trials", 1)
     for m in range(1, m_max + 1):
         yield ("adjoint:T_m*=S_m", {"m": m, "trials": trials},
                float(cfg["adjoint_tol"]),
@@ -601,7 +611,7 @@ def group_differential_eigen(cfg: dict, rng: np.random.Generator):
     step coarse enough that series noise does not dominate the mixed
     partial."""
     tol = float(cfg["eigen_tol"])
-    n_pts = int(cfg["eigen_points"])
+    n_pts = _size(cfg, "eigen_points", 1)
     # first-order stencils tolerate a fine step; the mixed partial in D_L
     # wants a coarser one so series noise stays below its h^-2 weight
     scan_cfg = StencilConfig(h=1e-4)
@@ -741,7 +751,7 @@ class _PlainPeriodicFn(TwistedFn):
 def group_milnor_baseline(cfg: dict, rng: np.random.Generator):
     """One-variable Kubert eigenfunction identity on the Hurwitz basis,
     with the reflection splitting into even/odd members."""
-    m_max = int(cfg["milnor_m_max"])
+    m_max = _size(cfg, "milnor_m_max", 2)
     for s in map(complex, cfg["milnor_s"]):
 
         def kubert_resid() -> float:
@@ -779,9 +789,9 @@ def group_zeta_operator(cfg: dict, rng: np.random.Generator):
     """Partial sums of the zeta operator against zeta(s) zeta(s, a, c),
     within the eigenvalue tail bound plus the explicit cancellation-noise
     floor.  sum_m T_m F converges to zeta(s) F only for Re s > 1."""
-    M = int(cfg["zeta_op_M"])
+    M = _size(cfg, "zeta_op_M", 1)
     s = complex(cfg["zeta_op_s"])
-    n_pts = int(cfg["zeta_op_points"])
+    n_pts = _size(cfg, "zeta_op_points", 1)
     sigma = s.real
     if sigma <= 1.0:
         raise DomainError(f"zeta_op_s = {s} needs Re s > 1")

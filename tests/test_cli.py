@@ -112,10 +112,13 @@ class TestVerify:
 
     def test_evaluation_failure_is_exit_1_without_traceback(self, tmp_path,
                                                              capsys):
-        # seed 51 samples a critical-line point where Levin acceleration
-        # fails to stabilise
+        # critical-line samples up to |t| = 40 reach a point, a more than
+        # 1/3 from an integer, where Levin acceleration fails to stabilise
+        cfg = tmp_path / "fe.cfg"
+        cfg.write_text("fe_samples = 10\nfe_im_max = 40\n")
         code, _, err = run_cli(capsys, "verify", "--group",
-                               "functional_equations", "--seed", "51",
+                               "functional_equations", "--seed", "2",
+                               "--config", str(cfg),
                                "--json-out", str(tmp_path / "r.json"),
                                "--csv-out", str(tmp_path / "r.csv"))
         assert code == 1
@@ -129,7 +132,21 @@ class TestVerify:
         "groups = zeta_operator\nzeta_op_s = 0.5\nzeta_op_M = 20\n"
         "zeta_op_points = 2\n",
         "groups = characterization\nchar_s =\n",
-    ], ids=["zeta_op_s_at_most_1", "empty_char_s"])
+        # sizes at which a group's checks test nothing and pass with 0
+        "groups = functional_equations\nfe_samples = 0\n",
+        "groups = hecke_eigen\nhecke_m_max = 1\n",
+        "groups = hecke_eigen\nhecke_points = 0\n",
+        "groups = operator_algebra\nalgebra_m_max = 1\n",
+        "groups = adjoint\nadjoint_trials = 0\n",
+        "groups = adjoint\nadjoint_m_max = 1\n",
+        "groups = differential_eigen\neigen_points = 0\n",
+        "groups = milnor_baseline\nmilnor_m_max = 1\n",
+        "groups = zeta_operator\nzeta_op_points = 0\n",
+        "groups = zeta_operator\nzeta_op_M = 0\n",
+    ], ids=["zeta_op_s_at_most_1", "empty_char_s", "fe_samples_0",
+            "hecke_m_max_1", "hecke_points_0", "algebra_m_max_1",
+            "adjoint_trials_0", "adjoint_m_max_1", "eigen_points_0",
+            "milnor_m_max_1", "zeta_op_points_0", "zeta_op_M_0"])
     def test_config_outside_a_check_domain_is_exit_2(self, tmp_path, capsys,
                                                       config):
         cfg = tmp_path / "domain.cfg"
