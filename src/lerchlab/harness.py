@@ -312,6 +312,15 @@ def _size(cfg: dict, key: str, least: int) -> int:
     return value
 
 
+def _s_values(cfg: dict, key: str) -> list[complex]:
+    """cfg[key] as complex exponents; DomainError when the list is empty,
+    since a group then runs no check and passes 0 of 0."""
+    values = [complex(s) for s in cfg[key]]
+    if not values:
+        raise DomainError(f"{key} needs at least one s")
+    return values
+
+
 def _check_group(rows):
     """Register a generator of check rows as CHECK_GROUPS[name].
 
@@ -410,7 +419,7 @@ def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
     """T_m F = m^(-s) F for both active basis members of the eigenspace."""
     m_max = _size(cfg, "hecke_m_max", 2)
     n_pts = _size(cfg, "hecke_points", 1)
-    for s in map(complex, cfg["hecke_s"]):
+    for s in _s_values(cfg, "hecke_s"):
         basis = build_eigenspace(s)
 
         def eigen_resid() -> float:
@@ -616,7 +625,7 @@ def group_differential_eigen(cfg: dict, rng: np.random.Generator):
     # wants a coarser one so series noise stays below its h^-2 weight
     scan_cfg = StencilConfig(h=1e-4)
     scfg = StencilConfig(h=1e-3)
-    for s in map(complex, cfg["eigen_s"]):
+    for s in _s_values(cfg, "eigen_s"):
         pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
                for _ in range(n_pts)]
         yield ("raising_lowering", {"s": s, "h": scan_cfg.h, "points": n_pts},
@@ -644,7 +653,7 @@ def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
     """Two-dimensionality (Gram rank), J-eigenvalues, and the R-action."""
     gap_min = float(cfg["gram_gap_min"])
     r_tol = float(cfg["r_action_tol"])
-    for s in map(complex, cfg["eigen_structure_s"]):
+    for s in _s_values(cfg, "eigen_structure_s"):
         basis = build_eigenspace(s)
 
         def gram_gap() -> float:
@@ -699,12 +708,11 @@ def group_characterization(cfg: dict,
     """Round-trip: characterize zeta_star, recover (A, B) = (1, 0); reject
     the untwisted counterexample.  The two records of one s share one
     `characterize` call and both carry its time."""
-    if not cfg["char_s"]:
-        raise DomainError("char_s needs at least one s")
+    char_s = _s_values(cfg, "char_s")
     records = []
     ab_tol = float(cfg["char_ab_tol"])
     res_tol = float(cfg["char_residual_tol"])
-    for s in map(complex, cfg["char_s"]):
+    for s in char_s:
         F = lerch_star_twisted(s)
         result, ms = timed_call(lambda: characterize(F, s, "a_path"))
         records.append(ReportRecord.from_residual(
@@ -716,7 +724,7 @@ def group_characterization(cfg: dict,
             {"s": s}, result.residual, res_tol, ms))
 
     def counterexample() -> float:
-        s = complex(cfg["char_s"][0])
+        s = char_s[0]
         fake = _PlainPeriodicFn(
             lambda a, c: np.asarray(c, dtype=complex) ** (-s), 1, "c^-s")
         try:
@@ -752,7 +760,7 @@ def group_milnor_baseline(cfg: dict, rng: np.random.Generator):
     """One-variable Kubert eigenfunction identity on the Hurwitz basis,
     with the reflection splitting into even/odd members."""
     m_max = _size(cfg, "milnor_m_max", 2)
-    for s in map(complex, cfg["milnor_s"]):
+    for s in _s_values(cfg, "milnor_s"):
 
         def kubert_resid() -> float:
             xs = rng.uniform(0.05, 0.95, 15)

@@ -185,6 +185,19 @@ def _gather(values: np.ndarray, inverse, axis: int = -1) -> np.ndarray:
     return values if inverse is None else np.take(values, inverse, axis=axis)
 
 
+def _neg_pow(x, s):
+    """x^(-s) for real x > 0 as exp(log(x) (-s)), elementwise over
+    broadcast x and s.
+
+    The logarithm of a real base is real, so this takes one real log and
+    one complex exp; numpy's complex ``**`` takes the complex log of the
+    base as well, at 1.5 to 2 times the cost.  The relative error is a
+    few units of rounding times 1 + |s| |log x|, from the rounding of the
+    exponent.
+    """
+    return np.exp(np.log(x) * (-s))
+
+
 # ---------------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin
 # ---------------------------------------------------------------------------
@@ -211,8 +224,8 @@ _EM_BCOEF = float(abs(_BERNOULLI_EVEN[_EM_TERMS]) / math.factorial(2 * _EM_TERMS
 def _em_plan(s: complex, xmin: float, tol: float):
     """Scalars of Euler-Maclaurin for zeta_H(s, x), x >= xmin, in Python
     arithmetic: (N, remainder scale and power, rounding-floor power,
-    correction coefficients, correction exponents).  N doubles until the
-    remainder bound sits below ``tol``."""
+    correction coefficients, 1/(s - 1)).  N doubles until the remainder
+    bound sits below ``tol``."""
     J = _EM_TERMS
     sigma = s.real
     rise = math.prod([abs(s + m) for m in range(2 * J + 1)])
@@ -228,8 +241,7 @@ def _em_plan(s: complex, xmin: float, tol: float):
     for j in range(1, J + 1):
         coefs.append(_EM_WEIGHTS[j - 1] * poch)
         poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-    exps = [-(s + 2 * j - 1) for j in range(1, J + 1)]
-    return N, scale, power, max(0.0, -sigma), coefs, exps
+    return N, scale, power, max(0.0, -sigma), coefs, 1.0 / (s - 1.0)
 
 
 def _hurwitz_em(s, x: np.ndarray, tol: float):
@@ -239,12 +251,19 @@ def _hurwitz_em(s, x: np.ndarray, tol: float):
     shape np.shape(s) + x.shape, one row per exponent.  Truncated sum
     over n < N plus integral, half-term and Bernoulli corrections, with
     N, the bound and the coefficients of each exponent from
-    :func:`_em_plan`.  The array work of all exponents runs in one pass,
-    elementwise as for each alone, so every row has the bits of its
-    one-exponent call.  Every factor is computed once per distinct x;
-    the head powers are gathered to the points before their sum, so it
-    adds over the caller's width (np.sum(axis=0) adds pairwise at width
-    1, row by row from 2).
+    :func:`_em_plan`.  With y = N + x real, the corrections are
+
+        y^(-s) [y/(s - 1) + 1/2 + P(1/y^2)/y],
+        P(u) = sum_{j=1..J} B_2j/(2j)! s(s+1)...(s+2j-2) u^(j-1),
+
+    P by Horner's rule, so the tail takes one complex exponential (the
+    power y^(-s) by :func:`_neg_pow`) per exponent and distinct x; the
+    head's powers go through :func:`_neg_pow` too.  The array work of
+    all exponents runs in one pass, elementwise as for each alone, so
+    every row has the bits of its one-exponent call.  Every factor is
+    computed once per distinct x; the head powers are gathered to the
+    points before their sum, so it adds over the caller's width
+    (np.sum(axis=0) adds pairwise at width 1, row by row from 2).
     """
     s_list = [complex(sk) for sk in np.ravel(s)]
     if any(abs(sk - 1.0) <= _INT_TOL for sk in s_list):
@@ -253,32 +272,35 @@ def _hurwitz_em(s, x: np.ndarray, tol: float):
     if np.any(x <= 0.0):
         raise DomainError("Hurwitz zeta requires x > 0")
     xmin = float(np.min(x, initial=np.inf))   # an empty x keeps the first N
-    Ns, scales, powers, floors, coefs, exps = zip(
+    Ns, scales, powers, floors, coefs, inv_sm1 = zip(
         *[_em_plan(sk, xmin, tol) for sk in s_list])
     s_col = np.array(s_list)[:, None]
 
     x_u, inverse = _distinct(x)
     n = np.concatenate([np.arange(N) for N in Ns])[:, None]
-    terms = _gather((n + x_u) ** np.repeat(-s_col, Ns, axis=0), inverse)
+    terms = _gather(_neg_pow(n + x_u, np.repeat(s_col, Ns, axis=0)), inverse)
     head = np.empty((len(s_list),) + x.shape, dtype=np.complex128)
     lo = 0
     for k, N in enumerate(Ns):
         head[k] = np.sum(terms[lo:lo + N], axis=0)
         lo += N
-    y = (np.array(Ns)[:, None] + x_u).astype(complex)
-    tail = y ** (1.0 - s_col) / (s_col - 1.0) + 0.5 * y ** (-s_col)
-    coefs, exps = np.array(coefs), np.array(exps)
-    for j in range(_EM_TERMS):
-        tail = tail + coefs[:, j, None] * y ** exps[:, j, None]
+    y = np.array(Ns)[:, None] + x_u
+    inv_y = 1.0 / y
+    u = inv_y * inv_y
+    coefs = np.array(coefs)
+    poly = coefs[:, -1, None]
+    for j in range(_EM_TERMS - 2, -1, -1):
+        poly = poly * u + coefs[:, j, None]
+    tail = _neg_pow(y, s_col) * (
+        y * np.array(inv_sm1)[:, None] + 0.5 + poly * inv_y)
     values = head + _gather(tail, inverse)
     # row by row with float exponents, as a one-exponent call does: numpy
     # takes a float exponent 0.5, 2 or -1 by a route with other last bits
-    abs_y = np.abs(y)
     bound = np.array([scale * row ** power
-                      for scale, row, power in zip(scales, abs_y, powers)])
+                      for scale, row, power in zip(scales, y, powers)])
     # rounding floor keyed to the largest summand, which dominates the
     # value itself when sigma < 0
-    largest = np.array([row ** floor for row, floor in zip(abs_y, floors)])
+    largest = np.array([row ** floor for row, floor in zip(y, floors)])
     rounding = 1e-16 * np.sqrt(np.array(Ns))[:, None]
     errors = _gather(bound, inverse) + rounding * np.maximum(
         np.abs(values), _gather(largest, inverse))
@@ -428,9 +450,12 @@ _EM_MAX_ORDER = 150
 # chunk sums one after another, so trailing zero terms leave a point's
 # bits unchanged and points with different N share one array
 _EM_CHUNK = 16
-# from this order on, b_k comes from its lattice sum over |m| <= _EM_LATTICE_M
+# from this order on, b_k comes from its lattice sum over |m| <= _EM_LATTICE_M,
+# and from _EM_NARROW_FROM on over |m| <= _EM_NARROW_M
 _EM_LATTICE_FROM = 12
 _EM_LATTICE_M = 5
+_EM_NARROW_FROM = 20
+_EM_NARROW_M = 2
 # widest array of one head or tail block, in values (2 MiB of complex);
 # a head longer than _EM_SEGMENT terms is summed in segments of that length
 _EM_BLOCK_VALUES = 1 << 17
@@ -499,9 +524,39 @@ def _eulerian_weights(orders: int) -> np.ndarray:
 _EULERIAN_WEIGHTS = _eulerian_weights(_EM_LATTICE_FROM)
 
 
-def _boole_coefs(a_off: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """b_k(z) for z = e^(2 pi i a_off), k < K, zero from K on: the
-    coefficients of 1/(1 - z e^h) = sum_k b_k h^k, one row per a_off.
+# 2 pi - math.tau, the rounding error of the double 2 pi
+_TAU_LO = 2.4492935982947064e-16
+
+
+def _lattice_scale(orders: int) -> np.ndarray:
+    """(i sgn)^n (2 pi)^(-n) for 0 <= n <= orders, sgn = 1 in row 0 and -1
+    in row 1.  (2 pi)^(-n) = tau^(-n) (1 + lo/tau)^(-n) with 2 pi = tau +
+    lo is taken as tau^(-n) (1 - n lo/tau), within one unit of rounding of
+    the exact power at every order; tau^(-n) alone carries n times the
+    rounding of tau (5.9e-15 relative at n = 150).  The unit is exact."""
+    n = np.arange(orders + 1.0)
+    scale = np.power(math.tau, -n) * (1.0 - n * (_TAU_LO / math.tau))
+    unit = np.array([[1.0, 1j, -1.0, -1j], [1.0, -1j, -1.0, 1j]])
+    table = unit[:, np.arange(orders + 1) % 4] * scale
+    table.setflags(write=False)
+    return table
+
+
+_LATTICE_SCALE = _lattice_scale(_EM_MAX_ORDER)
+# -n for 0 <= n <= _EM_MAX_ORDER, and the signs 1 and (-1)^n of the powers
+# of m + d and m - d; _LATTICE_M and _PLUS_MINUS broadcast to those bases
+_NEG_ORDERS = -np.arange(_EM_MAX_ORDER + 1.0)
+_SIGNS = np.ones((2, 1, _EM_MAX_ORDER + 1))
+_SIGNS[1, 0, 1::2] = -1.0
+_LATTICE_M = np.arange(1.0, _EM_LATTICE_M + 1.0)[:, None]
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+for _table in (_NEG_ORDERS, _SIGNS, _LATTICE_M, _PLUS_MINUS):
+    _table.setflags(write=False)
+
+
+def _boole_coefs(a_off: np.ndarray, width: int) -> np.ndarray:
+    """b_k(z) for z = e^(2 pi i a_off), k < width: the coefficients of
+    1/(1 - z e^h) = sum_k b_k h^k, one row per a_off.
 
     They solve b_0 = 1/(1 - z), b_k = z/(1 - z) sum_{j=1..k} b_(k-j)/j!,
     and the two closed forms of that recursion take all orders at once.
@@ -511,10 +566,10 @@ def _boole_coefs(a_off: np.ndarray, K: np.ndarray) -> np.ndarray:
     there on b_k is the lattice sum sum_m (-2 pi i (m + a))^(-(k+1)), the
     Fourier series behind the recursion; |m| <= _EM_LATTICE_M leaves out
     less than 2 (d/(5 + 2/3))^13 <= 2.0e-16 of it, relative, at
-    d <= 1/3.  Sums run along the last axis, so a row's bits do not
-    depend on the other rows.
+    d <= 1/3, and from _EM_NARROW_FROM on |m| <= _EM_NARROW_M leaves out
+    less than 2 (d/(2 + 2/3))^21 <= 2.2e-19.  Sums run along the last
+    axis, so a row's bits do not depend on the other rows.
     """
-    width = int(K.max())
     low = min(width, _EM_LATTICE_FROM)
     z = np.exp(2j * math.pi * a_off)[:, None]
     # 1 - z = -2i sin(pi a) e^(i pi a), without the cancellation near a = 0
@@ -524,20 +579,62 @@ def _boole_coefs(a_off: np.ndarray, K: np.ndarray) -> np.ndarray:
     z_pow = z ** np.arange(low - 1)
     b[:, 1:low] *= z * np.sum(z_pow[:, None, :] * _EULERIAN_WEIGHTS[:low - 1, :low - 1],
                               axis=-1)
-    if width > low:
-        m = np.arange(-_EM_LATTICE_M, _EM_LATTICE_M + 1)
-        w = 1.0 / (-2j * math.pi * (a_off[:, None] + m))
-        rows = max(1, _EM_BLOCK_VALUES // (m.size * (width - low)))
-        for lo in range(0, a_off.size, rows):
-            part = w[lo:lo + rows]
-            powers = np.empty((part.shape[0], width - low, m.size),
-                              dtype=np.complex128)
-            powers[:, 0] = part ** (low + 1)
-            powers[:, 1:] = part[:, None, :]
-            np.cumprod(powers, axis=1, out=powers)
-            b[lo:lo + rows, low:] = np.sum(powers, axis=-1)
-    b[np.arange(width) >= K[:, None]] = 0.0
+    _lattice_sums(a_off, low, width, b)
     return b
+
+
+def _lattice_sums(a_off: np.ndarray, first: int, stop: int,
+                  b: np.ndarray) -> None:
+    """b[:, k] = sum_m (-2 pi i (m + a))^(-(k+1)) for first <= k < stop,
+    over |m| <= _EM_LATTICE_M below order _EM_NARROW_FROM and over
+    |m| <= _EM_NARROW_M from there on.
+
+    With n = k + 1 and d = |a|, the sum is (i sgn a)^n (2 pi)^(-n) times
+
+        d^(-n) + sum_{m>=1} [(m + d)^(-n) + (-1)^n (m - d)^(-n)].
+
+    The first term, the largest, is a pow of the exact d, and (2 pi)^(-n)
+    is within a unit of rounding (_LATTICE_SCALE), so their product is
+    within a few units of rounding at every order (a running product of
+    1/(2 pi a) would carry n times the rounding of that quotient).  The
+    others are exp(-n log(m +- d)), whose relative error n u |log(m +- d)|
+    is of no weight next to their size, at most (d/(1 - d))^n of the
+    first; they add over m for each row, then to the first, so a row's
+    bits do not depend on the other rows.  Nothing is written when
+    stop <= first.
+    """
+    d = np.abs(a_off)[:, None]
+    # log(m + d) and log(m - d) for m = 1 .. _EM_LATTICE_M: (rows, 2, M, 1)
+    log_bases = np.log(_LATTICE_M + d[:, :, None, None] * _PLUS_MINUS)
+    total = np.power(d, _NEG_ORDERS[first + 1:stop + 1])
+    narrow = max(first, min(stop, _EM_NARROW_FROM))
+    for lo, hi, m_max in ((first, narrow, _EM_LATTICE_M),
+                          (narrow, stop, _EM_NARROW_M)):
+        if hi > lo:
+            n = slice(lo + 1, hi + 1)
+            terms = np.exp(log_bases[:, :, :m_max] * _NEG_ORDERS[n]) * _SIGNS[:, :, n]
+            total[:, lo - first:hi - first] += terms.sum(axis=(1, 2))
+    b[:, first:stop] = total * _LATTICE_SCALE[(a_off < 0.0).astype(np.intp),
+                                              first + 1:stop + 1]
+
+
+def _tail_coefs(s: complex, a_off: np.ndarray, N: np.ndarray,
+                K: np.ndarray) -> np.ndarray:
+    """C_k = b_k(z) (-s)(-s-1)...(-s-k+1) N^(-k) for k < K, zero from K
+    on, one row per a_off with its head length N and order K.
+
+    N >= _EM_HEAD_RATIO (|s| + K)/(2 pi d) makes |s + j|/N at most
+    2 pi d/_EM_HEAD_RATIO for j < K, so with |b_k| <= 2 (2 pi d)^(-k-1)
+    the coefficients stay below 2/(2 pi d) (2/3)^k and nothing overflows
+    up to _EM_MAX_ORDER.  The falling factorial stops at K, so the orders
+    past it, where that argument fails, are zeros too.
+    """
+    width = int(K.max())
+    steps = ((1.0 - s) + _NEG_ORDERS[:width]) / N[:, None]
+    steps[:, 0] = 1.0
+    steps[_NEG_ORDERS[:width] <= -K[:, None]] = 0.0
+    np.cumprod(steps, axis=1, out=steps)
+    return _boole_coefs(a_off, width) * steps
 
 
 def _em_phases(hi, lo, n):
@@ -562,11 +659,16 @@ def _phi_twisted_em(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
                     + z^N sum_{k<K} b_k(z) (-s)(-s-1)...(-s-k+1) (N + c)^(-s-k)
 
     with N, K and the truncation bound from :func:`_twisted_em_plan` and
-    b_k from :func:`_boole_coefs`, once per distinct a.  The points run
-    in blocks sorted by N, of at most _EM_BLOCK_VALUES head terms; within
-    a block the phases are computed once per distinct a and the powers
-    once per distinct c.  A point's value and estimate do not depend on
-    the other points of the call.
+    b_k from :func:`_boole_coefs`, once per distinct a.  With y = N + c
+    the tail is z^N y^(-s) sum_{k<K} C_k (N/y)^k, where the coefficients
+    C_k = b_k (-s)(-s-1)...(-s-k+1) N^(-k) of :func:`_tail_coefs` depend
+    on a alone; per point it takes the real powers (N/y)^k, one
+    complex-by-real product and a sum.  Every power x^(-s) of the head
+    and the tail is :func:`_neg_pow` of a real x.  The points run in
+    blocks sorted by N, of at most _EM_BLOCK_VALUES head terms; within a
+    block the phases and the C_k are computed once per distinct a and the
+    head powers once per distinct c.  A point's value and estimate do not
+    depend on the other points of the call.
 
     The estimate adds to the truncation bound the rounding of the sum.
     Each term carries a relative error of about u |s| log(n + c), u =
@@ -618,7 +720,7 @@ def _phi_twisted_em(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
             n = np.arange(n0, min(n0 + _EM_SEGMENT, n_max))
             phase = _em_phases(hi, lo, n)
             phase[n >= N_blk[:, None]] = 0.0
-            power = (n + c_u[:, None]) ** (-s)
+            power = _neg_pow(n + c_u[:, None], s)
             terms = _gather(phase, r_inv, axis=0)
             np.multiply(terms, _gather(power, c_inv, axis=0), out=terms)
             chunks = terms.reshape(idx.size, -1, _EM_CHUNK).sum(axis=-1)
@@ -630,17 +732,14 @@ def _phi_twisted_em(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
             ends = (N > n0) & (N <= n0 + n.size)
             moduli[ends] = running[c_row[ends], (N[ends] - n0) // _EM_CHUNK]
 
-        # tail at y = N + c: z^N y^(-s) sum_k b_k (-s)_k y^(-k), summed one
-        # term after another so that zero coefficients past K change no bit
-        K_blk = K_u[r_u]
+        # tail at y = N + c: z^N y^(-s) sum_k C_k (N/y)^k, with C_k =
+        # b_k (-s)(-s-1)...(-s-k+1) N^(-k) per distinct a, summed one term
+        # after another so that zero coefficients past K change no bit
+        coefs = _tail_coefs(s, a_u[r_u], N_blk, K_u[r_u])
         y = N + c[idx]
-        y_pow = y ** (-s)
-        steps = np.empty((idx.size, int(K_blk.max())), dtype=np.complex128)
-        steps[:, 0] = 1.0
-        steps[:, 1:] = (-s - np.arange(steps.shape[1] - 1)) / y[:, None]
-        np.cumprod(steps, axis=1, out=steps)
-        steps *= _gather(_boole_coefs(a_u[r_u], K_blk), r_inv, axis=0)
-        tail = np.cumsum(steps, axis=1)[:, -1]
+        y_pow = _neg_pow(y, s)
+        ratio = (y / N)[:, None] ** _NEG_ORDERS[:coefs.shape[1]]
+        tail = np.cumsum(_gather(coefs, r_inv, axis=0) * ratio, axis=1)[:, -1]
         values[idx] = head + _gather(z_N_u[r_u], r_inv) * y_pow * tail
         rounding = _UNIT_ROUNDOFF * (2.0 + abs(s) * np.log(y)) * (
             moduli + np.abs(y_pow) / _gather(d_u[r_u], r_inv))
@@ -676,7 +775,7 @@ def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
         # the power's temporary for the product and swaps the operands,
         # and the product's last bits depend on that order
         phase = _gather(np.exp(2j * math.pi * np.mod(n * a_u, 1.0)), a_inverse)
-        return phase * _gather((n + c_u) ** (-s), c_inverse)
+        return phase * _gather(_neg_pow(n + c_u, s), c_inverse)
 
     head = 8
     head_sum = np.sum(terms(np.arange(head)), axis=0)
@@ -863,7 +962,7 @@ def _zeta_direct(p: LerchParams, tol: float) -> EvalResult:
     for start in range(0, N, chunk):
         n = np.arange(start, min(start + chunk, N), dtype=float)
         phases = np.exp(2j * math.pi * np.mod(n * p.a, 1.0))
-        total += np.sum(phases * (n + p.c) ** (-s))
+        total += np.sum(phases * _neg_pow(n + p.c, s))
     bound = (N - 1.0 + p.c) ** (1.0 - sigma) / (sigma - 1.0)
     return EvalResult(complex(total), float(bound + 1e-16 * abs(total) * math.sqrt(N)),
                       Strategy.DIRECT_SERIES)
@@ -935,8 +1034,7 @@ def lerch_zeta(p: LerchParams, tol: float = TARGET_TOL) -> EvalResult:
         return EvalResult(complex(v[0]), float(e[0]), Strategy.ACCELERATED)
     base = lerch_star(p, tol)
     n = -np.arange(1, K + 1)
-    extra = np.sum(np.exp(2j * math.pi * n * p.a)
-                   * np.abs(n + p.c) ** (-complex(p.s)))
+    extra = np.sum(np.exp(2j * math.pi * n * p.a) * _neg_pow(n + p.c, s))
     value = base.value - complex(extra)
     return EvalResult(value, base.error_estimate + 1e-15 * abs(extra),
                       base.strategy)

@@ -308,10 +308,15 @@ class TestPhiLevin:
         s = complex(0.7, rng.uniform(-6.0, 6.0))
         a = rng.uniform(0.36, 0.64, width)
         c = rng.uniform(0.05, 1.0, width)
+        # the terms as lerch_core forms them, with (n + c)^(-s) taken as
+        # exp(log(n + c) (-s))
+        def term(n):
+            phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
+            return phase * np.exp(np.log(n + c) * (-s))
+
         n_head = np.arange(HEAD)[:, None]
-        phase = np.exp(2j * math.pi * np.mod(n_head * a[None, :], 1.0))
-        head_sum = np.sum(phase * (n_head + c[None, :]) ** (-s), axis=0)
-        best, err, _ = levin_oracle(lerch_tail(s, a, c), a.shape, 1e-12,
+        head_sum = np.sum(term(n_head), axis=0)
+        best, err, _ = levin_oracle(lambda n: term(HEAD + n), a.shape, 1e-12,
                                     max_order=90)
         want_v = head_sum + best
         want_e = err + 1e-16 * np.abs(head_sum)

@@ -132,6 +132,11 @@ class TestVerify:
         "groups = zeta_operator\nzeta_op_s = 0.5\nzeta_op_M = 20\n"
         "zeta_op_points = 2\n",
         "groups = characterization\nchar_s =\n",
+        # empty s lists: the group would run no check and pass 0 of 0
+        "groups = hecke_eigen\nhecke_s =\n",
+        "groups = differential_eigen\neigen_s =\n",
+        "groups = eigenspace_structure\neigen_structure_s =\n",
+        "groups = milnor_baseline\nmilnor_s =\n",
         # sizes at which a group's checks test nothing and pass with 0
         "groups = functional_equations\nfe_samples = 0\n",
         "groups = hecke_eigen\nhecke_m_max = 1\n",
@@ -143,7 +148,9 @@ class TestVerify:
         "groups = milnor_baseline\nmilnor_m_max = 1\n",
         "groups = zeta_operator\nzeta_op_points = 0\n",
         "groups = zeta_operator\nzeta_op_M = 0\n",
-    ], ids=["zeta_op_s_at_most_1", "empty_char_s", "fe_samples_0",
+    ], ids=["zeta_op_s_at_most_1", "empty_char_s", "empty_hecke_s",
+            "empty_eigen_s", "empty_eigen_structure_s", "empty_milnor_s",
+            "fe_samples_0",
             "hecke_m_max_1", "hecke_points_0", "algebra_m_max_1",
             "adjoint_trials_0", "adjoint_m_max_1", "eigen_points_0",
             "milnor_m_max_1", "zeta_op_points_0", "zeta_op_M_0"])

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lerchlab import (
     AccelerationFailureError,
@@ -576,6 +579,49 @@ class TestTwistedEulerMaclaurin:
                 assert ge[i, j].tobytes() == e[0].tobytes()
 
 
+# d = dist(a, Z) = 0.02, the smallest the path takes: the longest heads
+# and the largest b_k ~ (2 pi d)^(-k-1).  References as for EM_POINTS.
+EM_NEAR_CUTOFF_POINTS = [
+    ((0.5+150j), 0.02, 0.4, (6.368607309277826-5.961956340236596j)),
+    ((0.5+150j), 0.98, 0.85, (2.9764515407678322-2.164251862884996j)),
+    ((-0.45+25j), 0.02, 0.7, (1062.2665338048625+216.58867343617527j)),
+    ((-0.45+25j), 0.98, 0.2, (-1.550034573045547+4.016529953253855j)),
+]
+
+
+class TestTermKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 1e5), st.floats(-6.0, 10.0), st.floats(-300.0, 300.0))
+    def test_neg_pow_against_mpmath(self, x, sigma, t):
+        s = complex(sigma, t)
+        got = complex(lerch_core._neg_pow(x, s))
+        with mpmath.workdps(40):
+            ref = complex(mpmath.power(mpmath.mpf(x), -mpmath.mpc(sigma, t)))
+        bound = 4.0 * 2.0 ** -53 * (1.0 + abs(s) * abs(math.log(x)))
+        assert abs(got - ref) <= bound * abs(ref)
+
+    @pytest.mark.parametrize("d", [0.02, -0.02, 0.1, -0.1, 1.0 / 3.0, -1.0 / 3.0])
+    def test_boole_coefs_against_recursion(self, d):
+        # b_0 = 1/(1 - z), b_k = z/(1 - z) sum_{j=1..k} b_(k-j)/j!
+        K = lerch_core._EM_MAX_ORDER
+        got = lerch_core._boole_coefs(np.array([d]), K)[0]
+        with mpmath.workdps(40):
+            z = mpmath.expjpi(2 * mpmath.mpf(d))
+            ref = [1 / (1 - z)]
+            for k in range(1, K):
+                ref.append(z / (1 - z) * mpmath.fsum(
+                    ref[k - j] / mpmath.factorial(j) for j in range(1, k + 1)))
+            ref = [complex(r) for r in ref]
+        for k in range(K):
+            assert abs(got[k] - ref[k]) <= 1e-14 * abs(ref[k]), k
+
+    @pytest.mark.parametrize("s, a, c, ref", EM_NEAR_CUTOFF_POINTS)
+    def test_twisted_em_near_the_cutoff(self, s, a, c, ref):
+        v, e = lerch_core._phi_twisted_em(s, np.array([a]), np.array([c]), 1e-12)
+        assert np.isfinite(v[0]) and np.isfinite(e[0])
+        assert abs(v[0] - ref) <= e[0]
+
+
 class TestLerchParams:
     def test_classification_flags(self):
         assert LerchParams(2.0, 1.0, 0.5).a_integral
@@ -664,13 +710,14 @@ class TestHurwitzAccuracy:
 
 # Reference formulas that compute every factor at every point.  The
 # engine computes factors once per distinct value and must reproduce
-# their results bit for bit.
+# their results bit for bit.  Powers x^(-s) of real x > 0 are
+# exp(log(x) (-s)), as the engine takes them.
 
 def per_point_levin(s, a, c, tol, max_order=90, head=8):
     def terms(idx):
         n = idx[:, None]
         phase = np.exp(2j * math.pi * np.mod(n * a, 1.0))
-        return phase * (n + c) ** (-s)
+        return phase * np.exp(np.log(n + c) * (-s))
 
     head_sum = np.sum(terms(np.arange(head)), axis=0)
     res = levin_sum(lambda idx: terms(head + idx), a.shape, tol,
@@ -693,17 +740,23 @@ def per_point_hurwitz(s, x, tol):
             break
         N *= 2
     n = np.arange(N)[:, None]
-    head = np.sum((n + x[None, :]) ** (-s), axis=0)
-    y = (N + x).astype(complex)
-    tail = y ** (1.0 - s) / (s - 1.0) + 0.5 * y ** (-s)
-    poch = s
+    head = np.sum(np.exp(np.log(n + x[None, :]) * (-s)), axis=0)
+    # y^(-s) [y/(s - 1) + 1/2 + P(1/y^2)/y], P by Horner's rule
+    y = N + x
+    coefs, poch = [], s
     for j in range(1, J + 1):
-        tail = tail + (lerch_core._BERNOULLI_EVEN[j - 1] / math.factorial(2 * j)
-                       ) * poch * y ** (-(s + 2 * j - 1))
+        coefs.append(float(lerch_core._BERNOULLI_EVEN[j - 1] / math.factorial(2 * j))
+                     * poch)
         poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+    inv_y = 1.0 / y
+    u = inv_y * inv_y
+    poly = coefs[-1]
+    for coef in reversed(coefs[:-1]):
+        poly = poly * u + coef
+    tail = np.exp(np.log(y) * (-s)) * (y * (1.0 / (s - 1.0)) + 0.5 + poly * inv_y)
     values = head + tail
-    bound = rise * safety * bcoef * np.abs(y) ** (-(sigma + 2 * J + 1))
-    largest = np.abs(y) ** max(0.0, -sigma)
+    bound = rise * safety * bcoef * y ** (-(sigma + 2 * J + 1))
+    largest = y ** max(0.0, -sigma)
     return values, bound + 1e-16 * math.sqrt(N) * np.maximum(np.abs(values), largest)
 
 
