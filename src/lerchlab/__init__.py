@@ -37,7 +37,6 @@ from .lerch_core import (
 )
 from .twisted_space import (
     OperatorKind,
-    OperatorSpec,
     TwistedFn,
     apply_R,
     apply_hecke,
@@ -47,7 +46,6 @@ from .twisted_space import (
     zeta_operator_partial,
 )
 from .diff_ops import (
-    StencilConfig,
     apply_D,
     commutator_residual,
     raising_lowering_scan,

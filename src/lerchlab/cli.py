@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="zeta-star")
     p_char.add_argument("--s", required=True)
     p_char.add_argument("--path", choices=("a", "c"), default="a")
-    p_char.add_argument("--n", type=int, default=32, help="coefficient range")
+    p_char.add_argument("--n", type=int, default=32,
+                        help="coefficient range, at least 6")
 
     p_report = sub.add_parser("report", help="re-render a JSON report as CSV")
     p_report.add_argument("--json-in", required=True)
@@ -155,7 +156,7 @@ def _cmd_characterize(args) -> int:
         return 1
     except LerchLabError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
     print(json.dumps({
         "A": [result.A.real, result.A.imag],
         "B": [result.B.real, result.B.imag],

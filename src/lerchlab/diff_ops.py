@@ -20,7 +20,6 @@ immaterial).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import DomainError, LatticePointError, UnknownRelationError
 from .special_functions import Parity
 from .twisted_space import (
     OperatorKind,
-    OperatorSpec,
     PointFn,
     TwistedFn,
     l_pm_twisted,
@@ -38,7 +36,6 @@ from .twisted_space import (
 )
 
 __all__ = [
-    "StencilConfig",
     "apply_D",
     "commutator_residual",
     "raising_lowering_scan",
@@ -47,21 +44,14 @@ __all__ = [
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass
-class StencilConfig:
-    """Step of the fourth-order central differences.
-
-    ``h`` must keep (a +- 2h, c +- 2h) off the discontinuity lattice at
-    the evaluation points; violations raise :class:`LatticePointError`.
-    """
-
-    h: float = 1e-4
-
-    def __post_init__(self):
-        if self.h < 1e-8:
-            raise DomainError("stencil step underflow (h < 1e-8)")
-        if self.h > 0.05:
-            raise DomainError("stencil step too large for unit-cell geometry")
+def _check_step(h: float):
+    """The step h of the fourth-order central differences must lie in
+    [1e-8, 0.05], and keep (a +- 2h, c +- 2h) off the discontinuity
+    lattice at the evaluation points (else :class:`LatticePointError`)."""
+    if h < 1e-8:
+        raise DomainError("stencil step underflow (h < 1e-8)")
+    if h > 0.05:
+        raise DomainError("stencil step too large for unit-cell geometry")
 
 
 def _point_fn(F) -> PointFn:
@@ -70,9 +60,7 @@ def _point_fn(F) -> PointFn:
     return F
 
 
-def _d_axis(f: PointFn, axis: int, cfg: StencilConfig) -> PointFn:
-    h = cfg.h
-
+def _d_axis(f: PointFn, axis: int, h: float) -> PointFn:
     def shifted(a, c, delta):
         if axis == 0:
             return f(a + delta, c)
@@ -84,12 +72,12 @@ def _d_axis(f: PointFn, axis: int, cfg: StencilConfig) -> PointFn:
     return deriv
 
 
-def _op_d_plus(f: PointFn, cfg: StencilConfig) -> PointFn:
-    return _d_axis(f, 1, cfg)
+def _op_d_plus(f: PointFn, h: float) -> PointFn:
+    return _d_axis(f, 1, h)
 
 
-def _op_d_minus(f: PointFn, cfg: StencilConfig) -> PointFn:
-    da = _d_axis(f, 0, cfg)
+def _op_d_minus(f: PointFn, h: float) -> PointFn:
+    da = _d_axis(f, 0, h)
 
     def op(a, c):
         return da(a, c) / TWO_PI_I + np.asarray(c) * f(a, c)
@@ -97,10 +85,10 @@ def _op_d_minus(f: PointFn, cfg: StencilConfig) -> PointFn:
     return op
 
 
-def _op_d_L(f: PointFn, cfg: StencilConfig) -> PointFn:
+def _op_d_L(f: PointFn, h: float) -> PointFn:
     # tensor product of the 1-d stencils: 16 points
-    mixed = _d_axis(_d_axis(f, 1, cfg), 0, cfg)
-    dc = _d_axis(f, 1, cfg)
+    mixed = _d_axis(_d_axis(f, 1, h), 0, h)
+    dc = _d_axis(f, 1, h)
 
     def op(a, c):
         return mixed(a, c) / TWO_PI_I + np.asarray(c) * dc(a, c)
@@ -108,8 +96,8 @@ def _op_d_L(f: PointFn, cfg: StencilConfig) -> PointFn:
     return op
 
 
-def _op_delta_L(f: PointFn, cfg: StencilConfig) -> PointFn:
-    dl = _op_d_L(f, cfg)
+def _op_delta_L(f: PointFn, h: float) -> PointFn:
+    dl = _op_d_L(f, h)
 
     def op(a, c):
         return dl(a, c) + 0.5 * f(a, c)
@@ -125,11 +113,11 @@ _D_BUILDERS = {
 }
 
 
-def _check_margin(F, a: np.ndarray, c: np.ndarray, cfg: StencilConfig):
+def _check_margin(F, a: np.ndarray, c: np.ndarray, h: float):
     if not isinstance(F, TwistedFn):
         return
     d = F.denominator
-    margin = 2.0 * cfg.h * 1.01
+    margin = 2.0 * h * 1.01
     for name, x in (("a", a), ("c", c)):
         if np.any(lattice_distance(x, d) <= margin):
             raise LatticePointError(
@@ -138,9 +126,10 @@ def _check_margin(F, a: np.ndarray, c: np.ndarray, cfg: StencilConfig):
 
 
 def apply_D(kind: OperatorKind, F, a, c,
-            cfg: StencilConfig | None = None) -> complex | np.ndarray:
-    """Apply D_plus, D_minus, D_L or Delta_L to F at (a, c)."""
-    cfg = cfg or StencilConfig()
+            h: float = 1e-4) -> complex | np.ndarray:
+    """Apply D_plus, D_minus, D_L or Delta_L to F at (a, c), with
+    stencil step h."""
+    _check_step(h)
     if kind not in _D_BUILDERS:
         raise DomainError(f"not a differential operator: {kind}")
     a_arr = np.asarray(a, dtype=float)
@@ -148,8 +137,8 @@ def apply_D(kind: OperatorKind, F, a, c,
     scalar = a_arr.ndim == 0 and c_arr.ndim == 0
     a_arr, c_arr = np.broadcast_arrays(np.atleast_1d(a_arr),
                                        np.atleast_1d(c_arr))
-    _check_margin(F, a_arr, c_arr, cfg)
-    op = _D_BUILDERS[kind](_point_fn(F), cfg)
+    _check_margin(F, a_arr, c_arr, h)
+    op = _D_BUILDERS[kind](_point_fn(F), h)
     values = op(a_arr, c_arr)
     return complex(values.ravel()[0]) if scalar else values
 
@@ -158,65 +147,63 @@ def apply_D(kind: OperatorKind, F, a, c,
 # commutation relations
 # ---------------------------------------------------------------------------
 
-def _rel_d_plus_d_minus(f, cfg):
-    lhs1 = _op_d_plus(_op_d_minus(f, cfg), cfg)
-    lhs2 = _op_d_minus(_op_d_plus(f, cfg), cfg)
+def _rel_d_plus_d_minus(f, h):
+    lhs1 = _op_d_plus(_op_d_minus(f, h), h)
+    lhs2 = _op_d_minus(_op_d_plus(f, h), h)
     return lambda a, c: lhs1(a, c) - lhs2(a, c) - f(a, c)
 
 
-def _rel_d_plus_R(f, cfg):
-    lhs = _op_d_plus(r_power(f, 1), cfg)
-    rhs = r_power(_op_d_minus(f, cfg), 1)
+def _rel_d_plus_R(f, h):
+    lhs = _op_d_plus(r_power(f, 1), h)
+    rhs = r_power(_op_d_minus(f, h), 1)
     return lambda a, c: lhs(a, c) + TWO_PI_I * rhs(a, c)
 
 
-def _rel_d_minus_R(f, cfg):
-    lhs = _op_d_minus(r_power(f, 1), cfg)
-    rhs = r_power(_op_d_plus(f, cfg), 1)
+def _rel_d_minus_R(f, h):
+    lhs = _op_d_minus(r_power(f, 1), h)
+    rhs = r_power(_op_d_plus(f, h), 1)
     return lambda a, c: lhs(a, c) - rhs(a, c) / TWO_PI_I
 
 
-def _rel_d_L_R(f, cfg):
-    lhs = _op_d_L(r_power(f, 1), cfg)
-    rhs = r_power(_op_d_L(f, cfg), 1)
+def _rel_d_L_R(f, h):
+    lhs = _op_d_L(r_power(f, 1), h)
+    rhs = r_power(_op_d_L(f, h), 1)
     rf = r_power(f, 1)
     return lambda a, c: lhs(a, c) + rhs(a, c) + rf(a, c)
 
 
-def _rel_d_L_J(f, cfg):
-    lhs = _op_d_L(r_power(f, 2), cfg)
-    rhs = r_power(_op_d_L(f, cfg), 2)
+def _rel_d_L_J(f, h):
+    lhs = _op_d_L(r_power(f, 2), h)
+    rhs = r_power(_op_d_L(f, h), 2)
     return lambda a, c: lhs(a, c) - rhs(a, c)
 
 
-# (A, B, R power) -> residual builder of the relation asserted for (A, B)
+# relation -> builder of its residual function
 _RELATIONS = {
-    (OperatorKind.D_PLUS, OperatorKind.D_MINUS, None): _rel_d_plus_d_minus,
-    (OperatorKind.D_PLUS, OperatorKind.R_POW, 1): _rel_d_plus_R,
-    (OperatorKind.D_MINUS, OperatorKind.R_POW, 1): _rel_d_minus_R,
-    (OperatorKind.D_L, OperatorKind.R_POW, 1): _rel_d_L_R,
-    (OperatorKind.D_L, OperatorKind.R_POW, 2): _rel_d_L_J,
+    "D+ D- - D- D+ = I": _rel_d_plus_d_minus,
+    "D+ R = -2 pi i R D-": _rel_d_plus_R,
+    "D- R = (1/2 pi i) R D+": _rel_d_minus_R,
+    "D_L R + R D_L = -R": _rel_d_L_R,
+    "D_L R^2 = R^2 D_L": _rel_d_L_J,
 }
 
 
-def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
+def commutator_residual(relation: str, F,
                         points: Sequence[tuple[float, float]],
-                        cfg: StencilConfig | None = None) -> float:
-    """Max-norm residual of the asserted commutation relation of (A, B).
+                        h: float = 1e-4) -> float:
+    """Max-norm residual of a commutation relation, given by its equation.
 
-    Supported pairs and relations: D+ D- - D- D+ = I, D+ R = -2 pi i R D-,
+    Supported relations: D+ D- - D- D+ = I, D+ R = -2 pi i R D-,
     D- R = (1/2 pi i) R D+, D_L R + R D_L = -R and D_L R^2 = R^2 D_L;
     anything else raises :class:`UnknownRelationError`.
     """
-    cfg = cfg or StencilConfig()
-    key = (A.kind, B.kind, B.index if B.kind is OperatorKind.R_POW else None)
-    if key not in _RELATIONS:
-        raise UnknownRelationError(
-            f"no verified relation for ({A.kind.value}, {B.kind.value})")
+    _check_step(h)
+    if relation not in _RELATIONS:
+        raise UnknownRelationError(f"no verified relation {relation!r}")
     pts = np.asarray(points, dtype=float)
     a, c = pts[:, 0], pts[:, 1]
-    _check_margin(F, a, c, cfg)
-    resid_fn = _RELATIONS[key](_point_fn(F), cfg)
+    _check_margin(F, a, c, h)
+    resid_fn = _RELATIONS[relation](_point_fn(F), h)
     return float(np.max(np.abs(resid_fn(a, c))))
 
 
@@ -225,7 +212,7 @@ def commutator_residual(A: OperatorSpec, B: OperatorSpec, F,
 # ---------------------------------------------------------------------------
 
 def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
-                          cfg: StencilConfig | None = None) -> float:
+                          h: float = 1e-4) -> float:
     """Max-norm residual of the parity-flipping shift actions on the L-basis.
 
     D_minus L_s^pm = L_{s-1}^mp and D_plus L_s^pm = -s L_{s+1}^mp, with
@@ -234,7 +221,6 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
     """
     from .lerch_core import lpm_is_identically_zero
 
-    cfg = cfg or StencilConfig()
     s = complex(s)
     for shift in (-1.0, 0.0, 1.0):
         for parity in (Parity.PLUS, Parity.MINUS):
@@ -251,8 +237,8 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
         Ls = l_pm_twisted(s, parity)
         down = l_pm_twisted(s - 1, flip[parity])
         up = l_pm_twisted(s + 1, flip[parity])
-        lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, cfg)
-        raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, cfg)
+        lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, h)
+        raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, h)
         worst = max(worst,
                     float(np.max(np.abs(lower - down.extend(a, c)))),
                     float(np.max(np.abs(raise_ + s * up.extend(a, c)))))

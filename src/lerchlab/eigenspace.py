@@ -265,11 +265,15 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
     piecewise constancy beyond ``_VIOLATION_TOL`` (relative) raises
     :class:`IdentityViolationError`; this is how non-members (e.g. the
     untwisted c^(-s)) are rejected.  The reconstruction is compared at 40
-    test points drawn from a fixed seed.
+    test points drawn from a fixed seed.  The dilation checks read
+    coefficients up to |n| = 6, so N must be at least 6.
     """
     s = complex(s)
     if path not in ("a_path", "c_path"):
         raise DomainError("path must be 'a_path' or 'c_path'")
+    if N < 6:
+        raise DomainError(f"N = {N} skips the dilation checks, which read "
+                          "coefficients up to |n| = 6; it must be at least 6")
     a_path = path == "a_path"
     if a_path and s.real <= 0:
         raise DomainError("a_path requires Re(s) > 0")

@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diff_ops import StencilConfig, apply_D, commutator_residual, \
-    raising_lowering_scan
+from .diff_ops import apply_D, commutator_residual, raising_lowering_scan
 from .eigenspace import build_eigenspace, characterize, dependency_residual, j_split
 from .errors import DomainError, IdentityViolationError
 from .lerch_core import (
@@ -37,7 +36,6 @@ from .report import ReportRecord, timed_call
 from .special_functions import Parity, complex_gamma, root_number, tate_gamma
 from .twisted_space import (
     OperatorKind,
-    OperatorSpec,
     TwistedFn,
     apply_R,
     apply_hecke,
@@ -220,35 +218,20 @@ DEFAULT_SUITE_CONFIG: dict = {
                "eigenspace_structure", "adjoint", "characterization",
                "milnor_baseline", "zeta_operator"],
     "fe_samples": 100,
-    "fe_tol": 1e-7,
     "fe_im_max": 20.0,
     "hecke_s": [3.0, 2.0, 0.5, 0.5 + 10j, -1.5],
     "hecke_m_max": 16,
     "hecke_points": 50,
-    "hecke_tol": 1e-8,
     "algebra_m_max": 6,
-    "algebra_tol": 1e-11,
     "adjoint_m_max": 8,
     "adjoint_trials": 20,
-    "adjoint_tol": 1e-7,
-    "norm_tol": 1e-8,
-    "commutator_h": 1e-4,
-    "commutator_tol": 1e-5,
     "eigen_s": [2.5, 1.7, 0.5],
     "eigen_points": 20,
-    "eigen_tol": 1e-5,
     "eigen_structure_s": [0.3 + 0.4j, 0.64, 2.0],
-    "gram_gap_min": 1e6,
-    "j_tol": 1e-10,
-    "r_action_tol": 1e-8,
     "char_s": [2.0, 0.7],
-    "char_ab_tol": 1e-6,
-    "char_residual_tol": 1e-6,
     "milnor_m_max": 12,
     "milnor_s": [2.5, 0.5, -1.5],
-    "milnor_tol": 1e-9,
     "zeta_op_M": 200,
-    "zeta_op_s": 3.0,
     "zeta_op_points": 10,
 }
 
@@ -410,7 +393,7 @@ def group_functional_equations(cfg: dict, rng: np.random.Generator):
 
     for parity in (Parity.PLUS, Parity.MINUS):
         yield (f"functional_equation:L{parity.value}-hat",
-               {"samples": n, "im_max": im_max}, float(cfg["fe_tol"]),
+               {"samples": n, "im_max": im_max}, 1e-7,
                lambda: residual(parity))
 
 
@@ -438,7 +421,7 @@ def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
         yield ("hecke_eigen:T_m F = m^-s F",
                {"s": s, "m_max": m_max, "points": n_pts,
                 "basis": basis.active_pair},
-               float(cfg["hecke_tol"]), eigen_resid)
+               1e-8, eigen_resid)
 
 
 @_check_group
@@ -446,7 +429,7 @@ def group_operator_algebra(cfg: dict, rng: np.random.Generator):
     """Composition laws of the four Hecke families on smooth twisted
     functions: T_m T_n = T_mn, S_m T_m = (1/m) I, the family collapses
     T_m_vee = T_m / S_m_vee = S_m, and cross-family commutativity."""
-    tol = float(cfg["algebra_tol"])
+    tol = 1e-11
     m_max = _size(cfg, "algebra_m_max", 2)
     f = smooth_twisted_fn(rng, label="algebra-test")
     T = lambda m, F: apply_hecke(OperatorKind.T, m, F)
@@ -543,31 +526,25 @@ def group_operator_algebra(cfg: dict, rng: np.random.Generator):
 def group_commutators(cfg: dict, rng: np.random.Generator):
     """Differential commutation relations on a smooth twisted function,
     plus the observed fourth-order convergence under h-halving."""
-    tol = float(cfg["commutator_tol"])
     f = smooth_twisted_fn(rng, label="commutator-test")
     pts = [(rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85))
            for _ in range(12)]
-    scfg = StencilConfig(h=float(cfg["commutator_h"]))
-    D_plus = OperatorSpec(OperatorKind.D_PLUS)
-    D_minus = OperatorSpec(OperatorKind.D_MINUS)
-    D_L = OperatorSpec(OperatorKind.D_L)
-    R = OperatorSpec(OperatorKind.R_POW, 1)
-    R2 = OperatorSpec(OperatorKind.R_POW, 2)
-    relations = [("D+ D- - D- D+ = I", D_plus, D_minus),
-                 ("D+ R = -2 pi i R D-", D_plus, R),
-                 ("D- R = (1/2 pi i) R D+", D_minus, R),
-                 ("D_L R + R D_L = -R", D_L, R),
-                 ("D_L R^2 = R^2 D_L", D_L, R2)]
-    for name, A, B in relations:
-        yield (f"commutator:{name}",
-               {"A": A.kind.value, "B": B.kind.value, "h": scfg.h,
-                "order": 4, "points": len(pts)},
-               tol, lambda: commutator_residual(A, B, f, pts, scfg))
+    h = 1e-4
+    # (relation, A, B): A and B label the operator pair in the report
+    relations = [("D+ D- - D- D+ = I", "D_plus", "D_minus"),
+                 ("D+ R = -2 pi i R D-", "D_plus", "R_pow"),
+                 ("D- R = (1/2 pi i) R D+", "D_minus", "R_pow"),
+                 ("D_L R + R D_L = -R", "D_L", "R_pow"),
+                 ("D_L R^2 = R^2 D_L", "D_L", "R_pow")]
+    for relation, A, B in relations:
+        yield (f"commutator:{relation}",
+               {"A": A, "B": B, "h": h, "order": 4, "points": len(pts)},
+               1e-5, lambda: commutator_residual(relation, f, pts, h))
 
     def convergence_order() -> float:
         # truncation must dominate roundoff, so measure at coarser h
         h0 = 8e-3
-        res = [max(commutator_residual(D_L, R, f, pts, StencilConfig(h=hh)),
+        res = [max(commutator_residual("D_L R + R D_L = -R", f, pts, hh),
                    1e-300) for hh in (h0, h0 / 2)]
         order = math.log2(res[0] / res[1])
         # pass iff observed order is ~4 (between 3 and 5.5)
@@ -585,11 +562,9 @@ def group_adjoint(cfg: dict, rng: np.random.Generator):
     trials = _size(cfg, "adjoint_trials", 1)
     for m in range(1, m_max + 1):
         yield ("adjoint:T_m*=S_m", {"m": m, "trials": trials},
-               float(cfg["adjoint_tol"]),
-               lambda: _adjoint_resid(m, trials, rng))
+               1e-7, lambda: _adjoint_resid(m, trials, rng))
         yield ("norm:||T_m f|| = m^-1/2 ||f||", {"m": m, "trials": trials},
-               float(cfg["norm_tol"]),
-               lambda: _norm_identity_resid(m, trials, rng))
+               1e-8, lambda: _norm_identity_resid(m, trials, rng))
     lp_trials = max(4, trials // 4)
     for m in (2, 3, 4):
         for p in (1.0, 2.0, math.inf):
@@ -619,17 +594,16 @@ def group_differential_eigen(cfg: dict, rng: np.random.Generator):
     on the eigenspace basis; derivatives by fourth-order stencils with a
     step coarse enough that series noise does not dominate the mixed
     partial."""
-    tol = float(cfg["eigen_tol"])
+    tol = 1e-5
     n_pts = _size(cfg, "eigen_points", 1)
     # first-order stencils tolerate a fine step; the mixed partial in D_L
     # wants a coarser one so series noise stays below its h^-2 weight
-    scan_cfg = StencilConfig(h=1e-4)
-    scfg = StencilConfig(h=1e-3)
+    scan_h, h = 1e-4, 1e-3
     for s in _s_values(cfg, "eigen_s"):
         pts = [(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
                for _ in range(n_pts)]
-        yield ("raising_lowering", {"s": s, "h": scan_cfg.h, "points": n_pts},
-               tol, lambda: raising_lowering_scan(s, pts, scan_cfg))
+        yield ("raising_lowering", {"s": s, "h": scan_h, "points": n_pts},
+               tol, lambda: raising_lowering_scan(s, pts, scan_h))
 
         def eigen_resid() -> float:
             basis = build_eigenspace(s)
@@ -638,21 +612,21 @@ def group_differential_eigen(cfg: dict, rng: np.random.Generator):
             worst = 0.0
             for F in basis.active():
                 fv = F.extend(a, c)
-                dl = apply_D(OperatorKind.D_L, F, a, c, scfg)
+                dl = apply_D(OperatorKind.D_L, F, a, c, h)
                 worst = max(worst, _rel_sup(dl + s * fv, fv))
-                delta = apply_D(OperatorKind.DELTA_L, F, a, c, scfg)
+                delta = apply_D(OperatorKind.DELTA_L, F, a, c, h)
                 worst = max(worst, _rel_sup(delta + (s - 0.5) * fv, fv))
             return worst
 
         yield ("differential_eigen:D_L F = -s F, Delta_L F = -(s-1/2) F",
-               {"s": s, "points": n_pts, "h": scfg.h}, tol, eigen_resid)
+               {"s": s, "points": n_pts, "h": h}, tol, eigen_resid)
 
 
 @_check_group
 def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
     """Two-dimensionality (Gram rank), J-eigenvalues, and the R-action."""
-    gap_min = float(cfg["gram_gap_min"])
-    r_tol = float(cfg["r_action_tol"])
+    gap_min = 1e6
+    r_tol = 1e-8
     for s in _s_values(cfg, "eigen_structure_s"):
         basis = build_eigenspace(s)
 
@@ -680,7 +654,7 @@ def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
                 _sup(jp.extend(a, c) - fp.extend(a, c)),
                 _sup(jm.extend(a, c) + fm.extend(a, c)))
 
-        yield "eigenspace:J F = +- F", {"s": s}, float(cfg["j_tol"]), j_resid
+        yield "eigenspace:J F = +- F", {"s": s}, 1e-10, j_resid
 
         def r_action() -> float:
             a = rng.uniform(0.05, 0.95, 20)
@@ -710,18 +684,16 @@ def group_characterization(cfg: dict,
     `characterize` call and both carry its time."""
     char_s = _s_values(cfg, "char_s")
     records = []
-    ab_tol = float(cfg["char_ab_tol"])
-    res_tol = float(cfg["char_residual_tol"])
     for s in char_s:
         F = lerch_star_twisted(s)
         result, ms = timed_call(lambda: characterize(F, s, "a_path"))
         records.append(ReportRecord.from_residual(
             "characterize:zeta* -> (A,B)=(1,0)",
             {"s": s, "A": result.A, "B": result.B},
-            max(abs(result.A - 1.0), abs(result.B)), ab_tol, ms))
+            max(abs(result.A - 1.0), abs(result.B)), 1e-6, ms))
         records.append(ReportRecord.from_residual(
             "characterize:reconstruction residual",
-            {"s": s}, result.residual, res_tol, ms))
+            {"s": s}, result.residual, 1e-6, ms))
 
     def counterexample() -> float:
         s = char_s[0]
@@ -779,7 +751,7 @@ def group_milnor_baseline(cfg: dict, rng: np.random.Generator):
             return worst
 
         yield ("milnor:Kubert eigenfunctions (Hurwitz basis)",
-               {"s": s, "m_max": m_max}, float(cfg["milnor_tol"]), kubert_resid)
+               {"s": s, "m_max": m_max}, 1e-9, kubert_resid)
 
 
 def _dilation_noise(c: float, M: int, sigma: float) -> float:
@@ -796,13 +768,17 @@ def _dilation_noise(c: float, M: int, sigma: float) -> float:
 def group_zeta_operator(cfg: dict, rng: np.random.Generator):
     """Partial sums of the zeta operator against zeta(s) zeta(s, a, c),
     within the eigenvalue tail bound plus the explicit cancellation-noise
-    floor.  sum_m T_m F converges to zeta(s) F only for Re s > 1."""
+    floor, at s = 3 (sum_m T_m F converges to zeta(s) F only for Re s > 1)."""
     M = _size(cfg, "zeta_op_M", 1)
-    s = complex(cfg["zeta_op_s"])
+    # Dirichlet: some m <= M puts m*c within 1/(M+1) of an integer, so
+    # from M = 499 on no c clears the 2e-3 guard of sample_c
+    if M > 498:
+        raise DomainError(f"zeta_op_M = {M} leaves no c with every m*c, "
+                          "m <= M, 2e-3 clear of the integers; it must be "
+                          "at most 498")
+    s = 3 + 0j
     n_pts = _size(cfg, "zeta_op_points", 1)
     sigma = s.real
-    if sigma <= 1.0:
-        raise DomainError(f"zeta_op_s = {s} needs Re s > 1")
 
     def sample_c() -> float:
         # keep every dilated argument m*c clear of the integer lattice so

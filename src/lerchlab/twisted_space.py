@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +39,6 @@ from .special_functions import Parity
 __all__ = [
     "TwistedFn",
     "OperatorKind",
-    "OperatorSpec",
     "lerch_star_twisted",
     "l_pm_twisted",
     "apply_hecke",
@@ -65,7 +63,6 @@ class OperatorKind(enum.Enum):
     S = "S"
     T_VEE = "T_vee"
     S_VEE = "S_vee"
-    R_POW = "R_pow"
     D_PLUS = "D_plus"
     D_MINUS = "D_minus"
     D_L = "D_L"
@@ -74,28 +71,6 @@ class OperatorKind(enum.Enum):
 
 _HECKE_KINDS = {OperatorKind.T, OperatorKind.S, OperatorKind.T_VEE,
                 OperatorKind.S_VEE}
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Identifies one operator for composition and residual tests.
-
-    Hecke kinds carry the index m >= 1; ``R_POW`` carries the power
-    0..3; the remaining kinds take no index.
-    """
-
-    kind: OperatorKind
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.kind in _HECKE_KINDS:
-            if self.index is None or self.index < 1:
-                raise DomainError(f"{self.kind.value} needs an index m >= 1")
-        elif self.kind is OperatorKind.R_POW:
-            if self.index is None or not 0 <= self.index <= 3:
-                raise DomainError("R_pow needs a power in 0..3")
-        elif self.index is not None:
-            raise DomainError(f"{self.kind.value} takes no index")
 
 
 def _twist_phase(k: np.ndarray, a_red: np.ndarray) -> np.ndarray:

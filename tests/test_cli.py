@@ -127,8 +127,8 @@ class TestVerify:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("config", [
-        # sum_m T_m F converges to zeta(s) F only for Re s > 1; below, the
-        # tail bound is negative and the check would pass vacuously
+        # sum_m T_m F converges to zeta(s) F only for Re s > 1, so s is
+        # fixed at 3 and a config cannot set it
         "groups = zeta_operator\nzeta_op_s = 0.5\nzeta_op_M = 20\n"
         "zeta_op_points = 2\n",
         "groups = characterization\nchar_s =\n",
@@ -148,12 +148,15 @@ class TestVerify:
         "groups = milnor_baseline\nmilnor_m_max = 1\n",
         "groups = zeta_operator\nzeta_op_points = 0\n",
         "groups = zeta_operator\nzeta_op_M = 0\n",
+        # from M = 499 on, no c keeps every m*c clear of the integers
+        "groups = zeta_operator\nzeta_op_M = 499\n",
     ], ids=["zeta_op_s_at_most_1", "empty_char_s", "empty_hecke_s",
             "empty_eigen_s", "empty_eigen_structure_s", "empty_milnor_s",
             "fe_samples_0",
             "hecke_m_max_1", "hecke_points_0", "algebra_m_max_1",
             "adjoint_trials_0", "adjoint_m_max_1", "eigen_points_0",
-            "milnor_m_max_1", "zeta_op_points_0", "zeta_op_M_0"])
+            "milnor_m_max_1", "zeta_op_points_0", "zeta_op_M_0",
+            "zeta_op_M_499"])
     def test_config_outside_a_check_domain_is_exit_2(self, tmp_path, capsys,
                                                       config):
         cfg = tmp_path / "domain.cfg"
@@ -163,6 +166,23 @@ class TestVerify:
                                "--csv-out", str(tmp_path / "r.csv"))
         assert code == 2
         assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("key, value", [("hecke_tol", "1"),
+                                            ("commutator_h", "1e-3"),
+                                            ("zeta_op_s", "4")])
+    def test_fixed_criterion_is_not_a_setting(self, tmp_path, capsys, key,
+                                              value):
+        # tolerances, the Gram-gap threshold, the stencil step and the
+        # zeta-operator s are literals at their checks; hecke_tol = 1
+        # would pass every Hecke residual below 1
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text(f"groups = special_fns\n{key} = {value}\n")
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg),
+                               "--json-out", str(tmp_path / "r.json"),
+                               "--csv-out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert f"unknown key {key!r}" in err
 
 
 class TestReport:
@@ -194,6 +214,21 @@ class TestCharacterizeCommand:
         assert abs(payload["A"][0] - 1.0) < 1e-6
         assert abs(payload["B"][0]) < 1e-6
         assert payload["residual"] < 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        # no coefficient sampled: nothing would be checked
+        ("--n", "-1"),
+        # the dilation checks read coefficients up to |n| = 6
+        ("--n", "5"),
+        # c_path needs Re s < 1
+        ("--path", "c"),
+    ], ids=["n_negative", "n_5", "c_path_at_re_s_2"])
+    def test_outside_the_domain_is_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "characterize", "--function",
+                                 "zeta-star", "--s", "2,0", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
 
 
 class TestEvalLFunction:

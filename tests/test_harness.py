@@ -7,6 +7,7 @@ from lerchlab import DomainError, OperatorKind, apply_hecke, unit_square_grid
 from lerchlab.harness import (
     CHECK_GROUPS,
     DEFAULT_SUITE_CONFIG,
+    ReportRecord,
     _adjoint_resid,
     _bump,
     _lp_bound_resid,
@@ -159,6 +160,16 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg == DEFAULT_SUITE_CONFIG
 
+    def test_settings_are_sizes_and_exponents(self):
+        # tolerances and other acceptance criteria are literals at their
+        # checks, so no config can loosen them
+        assert set(DEFAULT_SUITE_CONFIG) == {
+            "seed", "groups", "fe_samples", "fe_im_max", "hecke_s",
+            "hecke_m_max", "hecke_points", "algebra_m_max", "adjoint_m_max",
+            "adjoint_trials", "eigen_s", "eigen_points", "eigen_structure_s",
+            "char_s", "milnor_m_max", "milnor_s", "zeta_op_M",
+            "zeta_op_points"}
+
     def test_parse_file(self, tmp_path):
         p = tmp_path / "suite.cfg"
         p.write_text(
@@ -166,12 +177,12 @@ class TestConfig:
             "seed = 7\n"
             "groups = special_fns, milnor_baseline\n"
             "hecke_s = 2.0, 0.5+10j\n"
-            "fe_tol = 1e-6\n")
+            "fe_im_max = 1e1\n")
         cfg = load_config(p)
         assert cfg["seed"] == 7
         assert cfg["groups"] == ["special_fns", "milnor_baseline"]
         assert cfg["hecke_s"] == [2.0, 0.5 + 10j]
-        assert cfg["fe_tol"] == 1e-6
+        assert cfg["fe_im_max"] == 10.0
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -209,9 +220,13 @@ class TestRunSuite:
         assert rows[0].startswith("identity,")
         assert len(rows) == len(records) + 1
 
-    def test_exit_code_contract_with_broken_tolerance(self, tmp_path):
+    def test_exit_code_contract_with_broken_tolerance(self, tmp_path,
+                                                      monkeypatch):
+        # a group whose one check misses its tolerance
+        monkeypatch.setitem(CHECK_GROUPS, "broken", lambda cfg, rng: [
+            ReportRecord.from_residual("broken", {}, 1e-9, 0.0)])
         p = tmp_path / "broken.cfg"
-        p.write_text("groups = milnor_baseline\nmilnor_tol = 0\n")
+        p.write_text("groups = milnor_baseline, broken\n")
         code, records = run_suite(config_path=p)
         assert code == 1
         assert any(not r.passed for r in records)

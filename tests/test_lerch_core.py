@@ -207,6 +207,19 @@ class TestSmallAAtLargeImS:
         assert abs(res.value - ref) <= 1e-9 * abs(ref)
 
 
+class TestLevinAtLargeImS:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: Levin is off by 1.6e-7 relative at s = 4+200i, a 0.404 "
+        "from an integer, with an estimate of 1.4e-13"))
+    def test_array_value_within_its_estimate(self):
+        # mpmath at two precisions agrees on this value; scalar lerch_star
+        # sums it directly and is within 1.4e-14
+        ref = 6.029139631189692 + 4.293161842701736j
+        values, errors = lerch_star_many(4 + 200j, [0.596407828866047],
+                                         [0.6030539342611494])
+        assert abs(values[0] - ref) <= errors[0]
+
+
 class TestLPm:
     def test_plus_combination_identity(self):
         # L+ equals the stated combination of the two extended values

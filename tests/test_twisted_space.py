@@ -7,7 +7,6 @@ from lerchlab import (
     DomainError,
     LatticePointError,
     OperatorKind,
-    OperatorSpec,
     Parity,
     TwistedFn,
     apply_R,
@@ -140,15 +139,7 @@ class TestHecke:
         with pytest.raises(DomainError):
             apply_hecke(OperatorKind.T, 0, F)
         with pytest.raises(DomainError):
-            apply_hecke(OperatorKind.R_POW, 2, F)
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.T)
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.R_POW, 5)
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.D_L, 2)
+            apply_hecke(OperatorKind.D_L, 2, F)
 
 
 class TestROperator:
