@@ -21,7 +21,7 @@ is compared against F pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +49,16 @@ _GRADE_DEPTH = 48
 
 @dataclass
 class EigenBasis:
-    """Spanning set of the eigenspace at s with the active working pair."""
+    """Spanning set of the eigenspace at s with the active working pair;
+    ``members`` maps "L+", "L-", "R+" and "R-" to their evaluators."""
 
     s: complex
-    L_plus: TwistedFn
-    L_minus: TwistedFn
-    R_plus: TwistedFn
-    R_minus: TwistedFn
+    members: dict[str, TwistedFn]
     active_pair: tuple[str, str]
     degenerate: tuple[str, ...] = ()
 
     def member(self, name: str) -> TwistedFn:
-        return {
-            "L+": self.L_plus, "L-": self.L_minus,
-            "R+": self.R_plus, "R-": self.R_minus,
-        }[name]
+        return self.members[name]
 
     def active(self) -> tuple[TwistedFn, TwistedFn]:
         return self.member(self.active_pair[0]), self.member(self.active_pair[1])
@@ -78,23 +73,16 @@ def build_eigenspace(s: complex) -> EigenBasis:
     Identically-vanishing members at integer s are flagged, not fatal.
     """
     s = complex(s)
-    degenerate = []
-    for name, parity in (("L+", Parity.PLUS), ("L-", Parity.MINUS)):
-        if lpm_is_identically_zero(s, parity):
-            degenerate.append(name)
-    for name, parity in (("R+", Parity.PLUS), ("R-", Parity.MINUS)):
-        if r_pm_is_identically_zero(s, parity):
-            degenerate.append(name)
+    parities = (Parity.PLUS, Parity.MINUS)
+    members = {f"L{p.value}": l_pm_twisted(s, p) for p in parities}
+    members.update({f"R{p.value}": apply_R(l_pm_twisted(1 - s, p), 1)
+                    for p in parities})
+    degenerate = ([f"L{p.value}" for p in parities
+                   if lpm_is_identically_zero(s, p)]
+                  + [f"R{p.value}" for p in parities
+                     if r_pm_is_identically_zero(s, p)])
     active = ("L+", "L-") if s.real > 0 else ("R+", "R-")
-    return EigenBasis(
-        s=s,
-        L_plus=l_pm_twisted(s, Parity.PLUS),
-        L_minus=l_pm_twisted(s, Parity.MINUS),
-        R_plus=apply_R(l_pm_twisted(1 - s, Parity.PLUS), 1),
-        R_minus=apply_R(l_pm_twisted(1 - s, Parity.MINUS), 1),
-        active_pair=active,
-        degenerate=tuple(degenerate),
-    )
+    return EigenBasis(s, members, active, tuple(degenerate))
 
 
 def dependency_residual(basis: EigenBasis, points) -> float:
@@ -106,14 +94,13 @@ def dependency_residual(basis: EigenBasis, points) -> float:
     pts = np.asarray(points, dtype=float)
     a, c = pts[:, 0], pts[:, 1]
     worst = 0.0
-    pairs = (("L+", "R+", Parity.PLUS), ("L-", "R-", Parity.MINUS))
-    for lname, rname, parity in pairs:
+    for parity in (Parity.PLUS, Parity.MINUS):
         g = tate_gamma(1.0 - basis.s, parity)
         if g.is_pole:
             continue
         coeff = root_number(parity) * g.value
-        lhs = basis.member(lname).extend(a, c)
-        rhs = coeff * basis.member(rname).extend(a, c)
+        lhs = basis.member(f"L{parity.value}").extend(a, c)
+        rhs = coeff * basis.member(f"R{parity.value}").extend(a, c)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -138,19 +125,20 @@ def j_split(basis: EigenBasis) -> tuple[TwistedFn, TwistedFn]:
 
 @dataclass
 class FourierSlice:
-    """Coefficients of one period-1 line integral family.
+    """Coefficients of one period-1 line integral family, n = -N .. N.
 
     ``a_axis``: f_n(c0) = int_0^1 F(a, c0) e^(-2 pi i n a) da.
     ``c_axis``: g_n(a0) = int_0^1 e^(2 pi i a0 c) F(a0, c) e^(-2 pi i n c) dc.
+    ``sl[n]`` reads mode n and raises KeyError for |n| > N.
     """
 
-    axis: str
-    fixed_coord: float
-    coefficients: dict[int, complex] = field(default_factory=dict)
-    n_range: tuple[int, int] = (0, 0)
+    coefficients: np.ndarray
 
     def __getitem__(self, n: int) -> complex:
-        return self.coefficients[n]
+        N = len(self.coefficients) // 2
+        if not -N <= n <= N:
+            raise KeyError(n)
+        return complex(self.coefficients[n + N])
 
 
 def fourier_slice(F: TwistedFn, axis: str, fixed_coord: float,
@@ -189,10 +177,7 @@ def fourier_slice(F: TwistedFn, axis: str, fixed_coord: float,
                 f"slice coefficients fail to decay (|n|~{N}: {outer:.2e} vs "
                 f"center {inner:.2e}); the slice is likely not integrable",
                 RuntimeWarning, stacklevel=2)
-    return FourierSlice(axis=axis, fixed_coord=float(fixed_coord),
-                        coefficients={int(n): complex(v)
-                                      for n, v in zip(ns, coeffs)},
-                        n_range=(-N, N))
+    return FourierSlice(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,42 +199,8 @@ class CharacterizationResult:
     A: complex
     B: complex
     residual: float
-    matched: TwistedFn
     constancy_deviation: float = 0.0
     hecke_residual: float = 0.0
-
-
-def _slice_coeff_matrix(F, axis, levels, N):
-    """Coefficients f_n(level) (or g_n) as a dict (n, level_index) -> value."""
-    out = {}
-    for idx, lv in enumerate(levels):
-        sl = fourier_slice(F, axis, lv, N)
-        for n, v in sl.coefficients.items():
-            out[(n, idx)] = v
-    return out
-
-
-def _fit_sides(samples):
-    """Weighted constants on the two sides of the coefficient support.
-
-    ``samples`` is a list of (tilde_value, weight, side) with side +1 for
-    the A-side and -1 for the B-side.  Returns (A, B, worst weighted
-    deviation relative to the fitted scale).
-    """
-    out = {}
-    for side in (+1, -1):
-        vals = np.array([v for v, _, sd in samples if sd == side])
-        wts = np.array([w for _, w, sd in samples if sd == side])
-        if vals.size == 0:
-            out[side] = 0.0 + 0.0j
-            continue
-        out[side] = complex(np.sum(wts * vals) / np.sum(wts))
-    scale = max(abs(out[+1]), abs(out[-1]), 1e-30)
-    dev = 0.0
-    for v, w, sd in samples:
-        rel_w = min(1.0, w)
-        dev = max(dev, abs(v - out[sd]) * rel_w / scale)
-    return out[+1], out[-1], dev
 
 
 def characterize(F: TwistedFn, s: complex, path: str = "a_path",
@@ -288,39 +239,43 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
     # a_path: a-slices at t = n + x with exponent s and the L-basis;
     # c_path: c-slices at t = x - n with exponent 1 - s and the R-basis
     expo = s if a_path else 1.0 - s
-    coeffs = _slice_coeff_matrix(F, "a_axis" if a_path else "c_axis",
-                                 levels, N)
-    samples = []
-    for (n, idx), v in coeffs.items():
-        x = levels[idx]
-        t = n + x if a_path else x - n
-        if abs(t) < 0.05:
-            continue
-        tilde = v * np.exp(expo * math.log(abs(t)))
-        weight = abs(t) ** (-expo.real)
-        samples.append((tilde, weight, 1 if t > 0 else -1))
-    A, B, dev = _fit_sides(samples)
+    slices = [fourier_slice(F, "a_axis" if a_path else "c_axis", lv, N)
+              for lv in levels]
+    # (normalized value, weight) on the A-side t > 0 and the B-side t < 0,
+    # level by level and n ascending within a level: the order in which
+    # the weighted sums below round
+    sides = ([], [])
+    for x, sl in zip(levels, slices):
+        for n, v in zip(range(-N, N + 1), sl.coefficients.tolist()):
+            t = n + x if a_path else x - n
+            if abs(t) >= 0.05:
+                sides[t < 0].append((v * np.exp(expo * math.log(abs(t))),
+                                     abs(t) ** (-expo.real)))
+    fits = []
+    for side in sides:
+        vals, wts = (np.array(col) for col in zip(*side))
+        fits.append(complex(np.sum(wts * vals) / np.sum(wts)))
+    A, B = fits
+    scale = max(abs(A), abs(B), 1e-30)
+    dev = max(0.0, *(abs(v - fit) * min(1.0, w) / scale
+                     for fit, side in zip(fits, sides) for v, w in side))
     hecke_res = 0.0
     for m, b in hecke_pairs:
-        i_base = levels.index(b)
+        base_sl = slices[levels.index(b)]
         if a_path:
             # dilation identity f_{mn}(m c) = m^(-s) f_n(c) on sampled pairs
             eig = np.exp(-s * math.log(m))
-            i_dil = levels.index(m * b)
+            dil_sl = slices[levels.index(m * b)]
             for n in range(-2, 3):
-                if (m * n, i_dil) in coeffs and (n, i_base) in coeffs:
-                    lhs = coeffs[(m * n, i_dil)]
-                    rhs = eig * coeffs[(n, i_base)]
-                    hecke_res = max(hecke_res, abs(lhs - rhs))
+                hecke_res = max(hecke_res, abs(dil_sl[m * n] - eig * base_sl[n]))
         else:
             # dual dilation identity g_{mn-k}(a) = m^(s-1) g_n((a+k)/m)
             eig = np.exp((s - 1.0) * math.log(m))
             for k in range(m):
                 sl = fourier_slice(F, "c_axis", (b + k) / m, N)
                 for n in range(-1, 2):
-                    if (m * n - k, i_base) in coeffs:
-                        lhs = coeffs[(m * n - k, i_base)]
-                        hecke_res = max(hecke_res, abs(lhs - eig * sl[n]))
+                    hecke_res = max(hecke_res,
+                                    abs(base_sl[m * n - k] - eig * sl[n]))
     if dev > _VIOLATION_TOL or hecke_res > _VIOLATION_TOL:
         raise IdentityViolationError(
             "normalized Fourier coefficients are not piecewise constant; "
@@ -331,18 +286,13 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
     if not a_path:
         plus, minus = apply_R(plus, 1), apply_R(minus, 1)
     ca, cb = 0.5 * (A + B), 0.5 * (A - B)
-
-    def h_core(aa, cc):
-        return ca * plus.extend(aa, cc) + cb * minus.extend(aa, cc)
-
-    matched = TwistedFn(h_core, F.denominator, f"H[{path}](s={s})")
-
+    # H applies the twist phase once, to the sum; adding two extensions
+    # would round differently
+    H = TwistedFn(lambda aa, cc: ca * plus.extend(aa, cc)
+                  + cb * minus.extend(aa, cc), F.denominator)
     rng = np.random.default_rng(7)
     pa = rng.uniform(0.06, 0.94, 40)
     pc = rng.uniform(0.06, 0.94, 40)
     pc[-5:] += 1.0  # exercise the extension as well
-    residual = float(np.max(np.abs(F.extend(pa, pc) - matched.extend(pa, pc))))
-    return CharacterizationResult(A=A, B=B, residual=residual,
-                                  matched=matched,
-                                  constancy_deviation=dev,
-                                  hecke_residual=hecke_res)
+    residual = float(np.max(np.abs(F.extend(pa, pc) - H.extend(pa, pc))))
+    return CharacterizationResult(A, B, residual, dev, hecke_res)

@@ -431,95 +431,45 @@ def group_operator_algebra(cfg: dict, rng: np.random.Generator):
     T_m_vee = T_m / S_m_vee = S_m, and cross-family commutativity."""
     tol = 1e-11
     m_max = _size(cfg, "algebra_m_max", 2)
+    ms = range(1, m_max + 1)
     f = smooth_twisted_fn(rng, label="algebra-test")
     T = lambda m, F: apply_hecke(OperatorKind.T, m, F)
     S = lambda m, F: apply_hecke(OperatorKind.S, m, F)
+    R = lambda k, F: apply_R(F, k)
 
-    def sample_points(denominator: int, n: int = 25):
-        return (sample_off_lattice(rng, n, denominator, guard=1e-3),
-                sample_off_lattice(rng, n, denominator, guard=1e-3))
-
-    def check_t_composition() -> float:
+    def worst_gap(cases) -> float:
+        """Worst |lhs - rhs / d| over cases (denominator, [(lhs, rhs, d)]),
+        each at 25 a-values, then 25 c-values, clear of its 1/denominator
+        lattice; d = 1 where nothing is divided, since that is exact."""
         worst = 0.0
-        for m in range(1, m_max + 1):
-            for n_idx in range(1, m_max + 1):
-                if m * n_idx > m_max * 2:
-                    continue
-                a, c = sample_points(m * n_idx * 4)
-                lhs = T(m, T(n_idx, f))
-                rhs = T(m * n_idx, f)
-                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c)))
+        for denominator, laws in cases:
+            a = sample_off_lattice(rng, 25, denominator, guard=1e-3)
+            c = sample_off_lattice(rng, 25, denominator, guard=1e-3)
+            for lhs, rhs, d in laws:
+                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c) / d))
         return worst
 
-    yield "algebra:T_m T_n = T_mn", {"m_max": m_max}, tol, check_t_composition
-
-    def check_inverse() -> float:
-        worst = 0.0
-        for m in range(1, m_max + 1):
-            a, c = sample_points(m * m * 2)
-            st = S(m, T(m, f))
-            ts = T(m, S(m, f))
-            base = f.extend(a, c)
-            worst = max(worst,
-                        _sup(st.extend(a, c) - base / m),
-                        _sup(ts.extend(a, c) - base / m))
-        return worst
-
+    yield ("algebra:T_m T_n = T_mn", {"m_max": m_max}, tol,
+           lambda: worst_gap((m * n * 4, [(T(m, T(n, f)), T(m * n, f), 1)])
+                             for m in ms for n in ms if m * n <= m_max * 2))
     yield ("algebra:S_m T_m = T_m S_m = (1/m) I", {"m_max": m_max}, tol,
-           check_inverse)
-
-    def check_scaled_inverse() -> float:
-        worst = 0.0
-        for m in range(1, 4):
-            for d in range(1, 4):
-                a, c = sample_points(d * m * m * 2)
-                lhs = S(m, T(d * m, f))
-                rhs = T(d, f)
-                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c) / m))
-        return worst
-
+           lambda: worst_gap((m * m * 2, [(S(m, T(m, f)), f, m),
+                                          (T(m, S(m, f)), f, m)])
+                             for m in ms))
     yield ("algebra:S_m T_dm = (1/m) T_d", {"m_max": 3, "d_max": 3}, tol,
-           check_scaled_inverse)
-
-    def check_family_collapse() -> float:
-        worst = 0.0
-        for m in range(1, m_max + 1):
-            a, c = sample_points(m * 2)
-            tv = apply_hecke(OperatorKind.T_VEE, m, f)
-            t = T(m, f)
-            sv = apply_hecke(OperatorKind.S_VEE, m, f)
-            s_ = S(m, f)
-            worst = max(worst,
-                        _sup(tv.extend(a, c) - t.extend(a, c)),
-                        _sup(sv.extend(a, c) - s_.extend(a, c)))
-        return worst
-
+           lambda: worst_gap((d * m * m * 2, [(S(m, T(d * m, f)), T(d, f), m)])
+                             for m in range(1, 4) for d in range(1, 4)))
     yield ("algebra:T_vee = T, S_vee = S", {"m_max": m_max}, tol,
-           check_family_collapse)
-
-    def check_cross_commute() -> float:
-        worst = 0.0
-        for m in range(1, m_max + 1):
-            for l in range(1, m_max + 1):
-                a, c = sample_points(m * l * 4)
-                lhs = S(m, T(l, f))
-                rhs = T(l, S(m, f))
-                worst = max(worst, _sup(lhs.extend(a, c) - rhs.extend(a, c)))
-        return worst
-
-    yield "algebra:S_m T_l = T_l S_m", {"m_max": m_max}, tol, check_cross_commute
-
-    def check_r_order_four() -> float:
-        a, c = sample_points(1)
-        g = f
-        for _ in range(4):
-            g = apply_R(g, 1)
-        r2 = apply_R(apply_R(f, 1), 1)
-        j = apply_R(f, 2)
-        return max(_sup(g.extend(a, c) - f.extend(a, c)),
-                   _sup(r2.extend(a, c) - j.extend(a, c)))
-
-    yield "algebra:R^4 = I", {}, tol, check_r_order_four
+           lambda: worst_gap(
+               (m * 2, [(apply_hecke(OperatorKind.T_VEE, m, f), T(m, f), 1),
+                        (apply_hecke(OperatorKind.S_VEE, m, f), S(m, f), 1)])
+               for m in ms))
+    yield ("algebra:S_m T_l = T_l S_m", {"m_max": m_max}, tol,
+           lambda: worst_gap((m * l * 4, [(S(m, T(l, f)), T(l, S(m, f)), 1)])
+                             for m in ms for l in ms))
+    yield ("algebra:R^4 = I", {}, tol,
+           lambda: worst_gap([(1, [(R(1, R(1, R(1, R(1, f)))), f, 1),
+                                   (R(1, R(1, f)), R(2, f), 1)])]))
 
 
 @_check_group

@@ -255,6 +255,32 @@ class TestRunSuite:
         assert records(["special_fns", "milnor_baseline"]) == special + milnor
         assert records(["milnor_baseline", "special_fns"]) == milnor + special
 
+    def test_operator_algebra_draw_order(self, monkeypatch):
+        # the report bytes depend on the order in which the group draws its
+        # sample points: 25 a-values, then 25 c-values, per case and law
+        import lerchlab.harness as harness
+
+        draws = []
+        sample = harness.sample_off_lattice
+
+        def spy(rng, n, denominator=1, guard=1e-3):
+            draws.append((n, denominator, guard))
+            return sample(rng, n, denominator, guard)
+
+        monkeypatch.setattr(harness, "sample_off_lattice", spy)
+        cfg = dict(DEFAULT_SUITE_CONFIG, algebra_m_max=3)
+        CHECK_GROUPS["operator_algebra"](cfg, np.random.default_rng(42))
+        assert {(n, guard) for n, _, guard in draws} == {(25, 1e-3)}
+        per_case = [
+            4, 8, 12, 8, 16, 24, 12, 24,               # T_m T_n, mn <= 6
+            2, 8, 18,                                  # S_m T_m, 2 m^2
+            2, 4, 6, 8, 16, 24, 18, 36, 54,            # S_m T_dm, 2 d m^2
+            2, 4, 6,                                   # vee collapse, 2m
+            4, 8, 12, 8, 16, 24, 12, 24, 36,           # S_m T_l, 4 m l
+            1,                                         # R^4
+        ]
+        assert [d for _, d, _ in draws] == [d for d in per_case for _ in "ac"]
+
     def test_records_roundtrip_csv(self, tmp_path):
         _, records = run_suite(groups=["special_fns"])
         write_csv(records, tmp_path / "out.csv")
