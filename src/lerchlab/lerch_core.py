@@ -447,8 +447,8 @@ _EM_HEAD_RATIO = 1.5
 _EM_MAX_DIST = 1.0 / 3.0
 _EM_MAX_ORDER = 150
 # the head is summed in chunks of _EM_CHUNK terms, each pairwise, and the
-# chunk sums one after another, so trailing zero terms leave a point's
-# bits unchanged and points with different N share one array
+# chunk sums one after another, so a point's bits do not depend on where
+# the segments of a sweep end
 _EM_CHUNK = 16
 # from this order on, b_k comes from its lattice sum over |m| <= _EM_LATTICE_M,
 # and from _EM_NARROW_FROM on over |m| <= _EM_NARROW_M
@@ -456,11 +456,13 @@ _EM_LATTICE_FROM = 12
 _EM_LATTICE_M = 5
 _EM_NARROW_FROM = 20
 _EM_NARROW_M = 2
-# widest array of one head or tail block, in values (2 MiB of complex);
-# a head longer than _EM_SEGMENT terms is summed in segments of that length
+# widest array of a head sweep or a tail sub-block, in values (2 MiB of
+# complex); a sweep's segments are at most _EM_SEGMENT terms long
 _EM_BLOCK_VALUES = 1 << 17
 _EM_SEGMENT = 2048
 _UNIT_ROUNDOFF = 2.0 ** -53
+# longest head: _em_phases is exact for n < 2^27, and z^N takes n = N
+_EM_MAX_HEAD = 1 << 27
 
 
 def _twisted_em_plan(s: complex, d: np.ndarray, tol: float):
@@ -483,6 +485,7 @@ def _twisted_em_plan(s: complex, d: np.ndarray, tol: float):
     is); the bound returned is the one at the rounded N, which is lower.
     At the unrounded N, d cancels from the bound except for the factor
     (2 pi d)^(sigma - 1), so the orders are searched once per call.
+    Raises DomainError when some N exceeds _EM_MAX_HEAD.
     """
     sigma, mod_s = s.real, abs(s)
     k_min = max(2, math.floor(1.0 - sigma) + 1)
@@ -502,6 +505,10 @@ def _twisted_em_plan(s: complex, d: np.ndarray, tol: float):
         pick = np.where(pick < orders.size, pick, np.argmin(g))
     K = orders[pick]
     N = _EM_CHUNK * np.ceil(np.exp(log_head[pick] - log_2pi_d) / _EM_CHUNK)
+    if N.max() > _EM_MAX_HEAD:
+        raise DomainError(
+            f"twisted Euler-Maclaurin needs a head of {int(N.max())} terms at "
+            f"s = {s}, past 2^27, beyond which its phases lose exactness")
     bound = np.exp(math.log(2.0) - K * log_2pi_d + log_poch[pick]
                    + (1.0 - sigma - K) * np.log(N) - np.log(sigma + K - 1.0))
     return N.astype(np.int64), K, bound
@@ -652,6 +659,75 @@ def _split(a_off: np.ndarray):
     return hi, a_off - hi
 
 
+def _add_in_turn(acc: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """acc + columns[:, 0] + columns[:, 1] + ..., one addition after
+    another.
+
+    np.add.reduce over axis 0 of a C-contiguous (columns + 1, width) array
+    adds row by row, but pairwise at width 1, which cumsum takes instead.
+    """
+    if acc.size == 1:
+        return np.cumsum(np.concatenate([acc, columns[0]]))[-1:]
+    stack = np.empty((columns.shape[1] + 1, acc.size), dtype=acc.dtype)
+    stack[0] = acc
+    stack[1:] = columns.T
+    return np.add.reduce(stack, axis=0)
+
+
+def _em_heads(s: complex, hi: np.ndarray, lo: np.ndarray, N_row: np.ndarray,
+              row, c: np.ndarray):
+    """(heads, moduli) of one block: sum_{n<N} z^n (n + c)^(-s) and the
+    sum of |(n + c)^(-s)| over the same n, per point.
+
+    Row ``row[i]`` of (hi, lo, N_row) holds point i's a, split by
+    :func:`_split`, and its head length N; the rows run in order of
+    decreasing N, and so do the points (row None: point i is row i).
+    The sweep over n runs in segments of whole chunks that end no later
+    than the shortest head still running.  Points, a rows and distinct c
+    whose heads have ended leave an active prefix (the c in order of the
+    longest head they serve), so no head is padded, and each segment
+    computes its phases once per active a row and its powers once per
+    active distinct c, in arrays of at most _EM_BLOCK_VALUES values.
+    """
+    N = _gather(N_row, row)
+    c_u, c_inv = _distinct(c)
+    if c_inv is None:
+        longest = N
+    else:
+        longest = np.zeros(c_u.size, dtype=N.dtype)
+        np.maximum.at(longest, c_inv, N)
+        by_N = np.argsort(-longest, kind="stable")
+        rank = np.empty_like(by_N)
+        rank[by_N] = np.arange(by_N.size)
+        c_u, longest, c_inv = c_u[by_N], longest[by_N], rank[c_inv]
+    head = np.zeros(c.size, dtype=np.complex128)
+    moduli = np.empty(c.size)
+    carry = np.zeros(c_u.size)
+    p, n_a, n_c, n0 = c.size, N_row.size, c_u.size, 0
+    while p:
+        seg = min(_EM_SEGMENT, _EM_BLOCK_VALUES // p // _EM_CHUNK * _EM_CHUNK)
+        n1 = min(n0 + seg, int(N[p - 1]))
+        n = np.arange(n0, n1)
+        terms = _gather(_em_phases(hi[:n_a, None], lo[:n_a, None], n),
+                        None if row is None else row[:p], axis=0)
+        power = _neg_pow(n + c_u[:n_c, None], s)
+        np.multiply(terms, _gather(power, None if c_inv is None else c_inv[:p],
+                                   axis=0), out=terms)
+        head[:p] = _add_in_turn(
+            head[:p], terms.reshape(p, -1, _EM_CHUNK).sum(axis=-1))
+        carry[:n_c] = _add_in_turn(
+            carry[:n_c], np.abs(power).reshape(n_c, -1, _EM_CHUNK).sum(axis=-1))
+        n0 = n1
+        if n1 == N[p - 1]:
+            # the heads ending here read their moduli off their c's carry
+            q = int(np.searchsorted(-N, -n1))
+            moduli[q:p] = carry[q:p] if c_inv is None else carry[c_inv[q:p]]
+            p = q
+            n_a = p if row is None else int(np.searchsorted(-N_row, -n1))
+            n_c = p if c_inv is None else int(np.searchsorted(-longest, -n1))
+    return head, moduli
+
+
 def _phi_twisted_em(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     """One-sided sum for dist(a, Z) <= 1/3 by twisted Euler-Maclaurin.
 
@@ -659,16 +735,22 @@ def _phi_twisted_em(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
                     + z^N sum_{k<K} b_k(z) (-s)(-s-1)...(-s-k+1) (N + c)^(-s-k)
 
     with N, K and the truncation bound from :func:`_twisted_em_plan` and
-    b_k from :func:`_boole_coefs`, once per distinct a.  With y = N + c
-    the tail is z^N y^(-s) sum_{k<K} C_k (N/y)^k, where the coefficients
+    b_k from :func:`_boole_coefs`.  With y = N + c the tail is
+    z^N y^(-s) sum_{k<K} C_k (N/y)^k, where the coefficients
     C_k = b_k (-s)(-s-1)...(-s-k+1) N^(-k) of :func:`_tail_coefs` depend
     on a alone; per point it takes the real powers (N/y)^k, one
     complex-by-real product and a sum.  Every power x^(-s) of the head
-    and the tail is :func:`_neg_pow` of a real x.  The points run in
-    blocks sorted by N, of at most _EM_BLOCK_VALUES head terms; within a
-    block the phases and the C_k are computed once per distinct a and the
-    head powers once per distinct c.  A point's value and estimate do not
-    depend on the other points of the call.
+    and the tail is :func:`_neg_pow` of a real x.
+
+    The distinct a run in order of decreasing N and the points in order
+    of their a, in blocks of at most _EM_BLOCK_VALUES // _EM_CHUNK points
+    and _EM_BLOCK_VALUES // _EM_MAX_ORDER distinct a.  A block sums its
+    heads in one sweep (:func:`_em_heads`) and computes the C_k once per
+    distinct a; the tails run in sub-blocks of at most _EM_BLOCK_VALUES
+    values.  A head adds its terms in chunks of _EM_CHUNK, each pairwise,
+    and the chunk sums one after another; a tail adds its terms one after
+    another.  So a point's value and estimate do not depend on the other
+    points of the call.
 
     The estimate adds to the truncation bound the rounding of the sum.
     Each term carries a relative error of about u |s| log(n + c), u =
@@ -683,67 +765,50 @@ def _phi_twisted_em(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     s = complex(s)
     a_off = a - np.round(a)
     a_u, a_inv = _distinct(a_off)
-    d_u = np.abs(a_u)
-    N_u, K_u, bound_u = _twisted_em_plan(s, d_u, tol)
+    N_u, K_u, bound_u = _twisted_em_plan(s, np.abs(a_u), tol)
+    # the distinct a by head length, longest first, and the points by a
+    by_N = np.argsort(-N_u, kind="stable")
+    a_u, N_u, K_u, bound_u = a_u[by_N], N_u[by_N], K_u[by_N], bound_u[by_N]
+    rank = np.empty_like(by_N)
+    rank[by_N] = np.arange(by_N.size)
+    rows = _gather(rank, a_inv)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    row_ends = np.cumsum(np.bincount(rows, minlength=a_u.size))
     hi_u, lo_u = _split(a_u)
     z_N_u = _em_phases(hi_u, lo_u, N_u)
-    N_pt = _gather(N_u, a_inv)
-    rows_pt = np.arange(a.size) if a_inv is None else a_inv
+    d_u = np.abs(a_u)
 
     values = np.empty(a.shape, dtype=np.complex128)
     errors = np.empty(a.shape, dtype=float)
-    order = np.argsort(-N_pt, kind="stable")
-    neg_N = -N_pt[order]
     start = 0
-    while start < order.size:
-        # a block takes the points with at least half its longest head,
-        # so no point is padded to more than twice its own
-        n_max = -int(neg_N[start])
-        stop = min(start + max(1, _EM_BLOCK_VALUES // min(n_max, _EM_SEGMENT)),
-                   int(np.searchsorted(neg_N, -n_max / 2, side="right")))
-        idx = order[start:stop]
+    while start < a.size:
+        r0 = int(rows[start])
+        stop = min(start + _EM_BLOCK_VALUES // _EM_CHUNK,
+                   int(row_ends[min(r0 + _EM_BLOCK_VALUES // _EM_MAX_ORDER,
+                                    a_u.size) - 1]))
+        idx, row = order[start:stop], rows[start:stop]
         start = stop
-        r_u, r_inv = _distinct(rows_pt[idx])
-        c_u, c_inv = _distinct(c[idx])
-        N_blk = N_u[r_u]
-        N = _gather(N_blk, r_inv)
+        blk = slice(r0, int(row[-1]) + 1)
+        head, moduli = _em_heads(s, hi_u[blk], lo_u[blk], N_u[blk],
+                                 None if a_inv is None else row - r0, c[idx])
 
-        # the head, and per distinct c the running sums of |(n + c)^(-s)|,
-        # read off at each point's N: chunk sums added one after another,
-        # carried over segments
-        head = np.zeros(idx.size, dtype=np.complex128)
-        moduli = np.zeros(idx.size)
-        carry = np.zeros(c_u.size)
-        c_row = np.arange(c_u.size) if c_inv is None else c_inv
-        hi, lo = hi_u[r_u, None], lo_u[r_u, None]
-        for n0 in range(0, n_max, _EM_SEGMENT):
-            n = np.arange(n0, min(n0 + _EM_SEGMENT, n_max))
-            phase = _em_phases(hi, lo, n)
-            phase[n >= N_blk[:, None]] = 0.0
-            power = _neg_pow(n + c_u[:, None], s)
-            terms = _gather(phase, r_inv, axis=0)
-            np.multiply(terms, _gather(power, c_inv, axis=0), out=terms)
-            chunks = terms.reshape(idx.size, -1, _EM_CHUNK).sum(axis=-1)
-            head = np.cumsum(np.column_stack([head, chunks]), axis=1)[:, -1]
-            running = np.cumsum(np.column_stack(
-                [carry, np.abs(power).reshape(c_u.size, -1, _EM_CHUNK).sum(axis=-1)]),
-                axis=1)
-            carry = running[:, -1]
-            ends = (N > n0) & (N <= n0 + n.size)
-            moduli[ends] = running[c_row[ends], (N[ends] - n0) // _EM_CHUNK]
-
-        # tail at y = N + c: z^N y^(-s) sum_k C_k (N/y)^k, with C_k =
-        # b_k (-s)(-s-1)...(-s-k+1) N^(-k) per distinct a, summed one term
+        # tail at y = N + c: z^N y^(-s) sum_k C_k (N/y)^k, summed one term
         # after another so that zero coefficients past K change no bit
-        coefs = _tail_coefs(s, a_u[r_u], N_blk, K_u[r_u])
-        y = N + c[idx]
-        y_pow = _neg_pow(y, s)
-        ratio = (y / N)[:, None] ** _NEG_ORDERS[:coefs.shape[1]]
-        tail = np.cumsum(_gather(coefs, r_inv, axis=0) * ratio, axis=1)[:, -1]
-        values[idx] = head + _gather(z_N_u[r_u], r_inv) * y_pow * tail
-        rounding = _UNIT_ROUNDOFF * (2.0 + abs(s) * np.log(y)) * (
-            moduli + np.abs(y_pow) / _gather(d_u[r_u], r_inv))
-        errors[idx] = _gather(bound_u[r_u], r_inv) + rounding
+        coefs = _tail_coefs(s, a_u[blk], N_u[blk], K_u[blk])
+        per_tail = _EM_BLOCK_VALUES // coefs.shape[1]
+        for lo in range(0, idx.size, per_tail):
+            pts = slice(lo, lo + per_tail)
+            r = row[pts]
+            y = N_u[r] + c[idx[pts]]
+            y_pow = _neg_pow(y, s)
+            ratio = (y / N_u[r])[:, None] ** _NEG_ORDERS[:coefs.shape[1]]
+            terms = np.take(coefs, r - r0, axis=0) * ratio
+            tail = _add_in_turn(terms[:, 0], terms[:, 1:])
+            values[idx[pts]] = head[pts] + z_N_u[r] * y_pow * tail
+            rounding = _UNIT_ROUNDOFF * (2.0 + abs(s) * np.log(y)) * (
+                moduli[pts] + np.abs(y_pow) / d_u[r])
+            errors[idx[pts]] = bound_u[r] + rounding
     return values, errors
 
 

@@ -55,6 +55,14 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    def test_head_past_the_cap_is_an_evaluation_error(self, capsys):
+        # a = 0.1 at t = 1e8 plans a twisted Euler-Maclaurin head past 2^27
+        code, out, err = run_cli(capsys, "eval", "--s", "0.5,1e8",
+                                 "--a", "0.1", "--c", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "2^27" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--c", "inf"),
                                              ("--s", "nan")])
     def test_non_finite_argument_is_usage_error(self, capsys, flag, value):

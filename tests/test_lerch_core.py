@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -807,6 +808,52 @@ def per_point_small_a_s2(a_off, c, tol):
     return twist * values, np.abs(twist) * errors
 
 
+def per_point_twisted_em(s, a, c, tol):
+    """_phi_twisted_em one point at a time: the head in 16-term chunks,
+    each added pairwise and the chunk sums one after another, the running
+    sum of the moduli of its powers read at N, and the tail term by term."""
+    s = complex(s)
+    values = np.empty(a.shape, dtype=np.complex128)
+    errors = np.empty(a.shape, dtype=float)
+    per_a = {}   # the factors of one a, as for a one-point call
+    for i in range(a.size):
+        if a[i] not in per_a:
+            a_off = a[i:i + 1] - np.round(a[i:i + 1])
+            N, K, bound = lerch_core._twisted_em_plan(s, np.abs(a_off), tol)
+            hi, lo = lerch_core._split(a_off)
+            per_a[a[i]] = (np.abs(a_off), N, K, bound, hi, lo,
+                           lerch_core._tail_coefs(s, a_off, N, K)[0],
+                           lerch_core._em_phases(hi, lo, N))
+        d, N, K, bound, hi, lo, coefs, z_N = per_a[a[i]]
+        n = np.arange(N[0])
+        power = np.exp(np.log(n + c[i]) * (-s))
+        terms = lerch_core._em_phases(hi, lo, n) * power
+        head = terms[:0].sum()
+        for chunk in terms.reshape(-1, 16).sum(axis=-1):
+            head = head + chunk
+        moduli = 0.0
+        for chunk in np.abs(power).reshape(-1, 16).sum(axis=-1):
+            moduli = moduli + chunk
+        y = N + c[i:i + 1]
+        y_pow = np.exp(np.log(y) * (-s))
+        products = coefs * (y / N) ** -np.arange(K[0], dtype=float)
+        tail = products[0]
+        for term in products[1:]:
+            tail = tail + term
+        values[i] = (head + z_N * y_pow * tail)[0]
+        rounding = 2.0 ** -53 * (2.0 + abs(s) * np.log(y)) * (
+            moduli + np.abs(y_pow) / d)
+        errors[i] = (bound + rounding)[0]
+    return values, errors
+
+
+def twisted_em_inputs(kind, width, seed):
+    """factor_inputs with a in [0.02, 1/3] or [2/3, 0.98], the side set
+    by the value, so repeated values stay repeated."""
+    a, c = factor_inputs(kind, width, 0.02, 1.0 / 3.0, seed)
+    return np.where((a * 1e4) % 2.0 < 1.0, a, 1.0 - a), c
+
+
 CUT = lerch_core._DISTINCT_MIN
 
 
@@ -857,6 +904,12 @@ class TestDistinctFactorsBitIdentical:
         assert_same_bits(lerch_core._phi_small_a(2.0, a_off, c, 1e-12),
                          per_point_small_a_s2(a_off, c, 1e-12))
 
+    def test_twisted_em(self, kind, width):
+        a, c = twisted_em_inputs(kind, width, 4)
+        for s in (0.5 + 3j, -0.3 + 2j):
+            assert_same_bits(lerch_core._phi_twisted_em(s, a, c, 1e-12),
+                             per_point_twisted_em(s, a, c, 1e-12))
+
     def test_distinct_values(self, kind, width):
         # all-distinct inputs come back as they are, with no gather
         a, _ = factor_inputs(kind, width, 0.36, 0.64, 1)
@@ -866,6 +919,76 @@ class TestDistinctFactorsBitIdentical:
         else:
             assert values.size < a.size
             assert np.array_equal(values[inverse], a)
+
+
+# points of one twisted Euler-Maclaurin block
+BLOCK_POINTS = lerch_core._EM_BLOCK_VALUES // lerch_core._EM_CHUNK
+
+
+class TestTwistedEMBlocks:
+    def test_wide_l_pm_many_points(self, monkeypatch):
+        # the 20,000 one-sided points of a 100 x 100 grid, both halves of
+        # L^-, run in three blocks
+        calls = []
+        inner = lerch_core._phi_twisted_em
+
+        def recording(s, a, c, tol):
+            values, errors = inner(s, a, c, tol)
+            calls.append((s, a, c, tol, values, errors))
+            return values, errors
+
+        monkeypatch.setattr(lerch_core, "_phi_twisted_em", recording)
+        a, c = twisted_em_inputs("grid", 10_000, 5)
+        l_pm_many(1.33 - 10.88j, Parity.MINUS, a, c)
+        [(s, a, c, tol, values, errors)] = calls
+        assert a.size == 20_000 > 2 * BLOCK_POINTS
+        pick = np.random.default_rng(5).choice(a.size, 40, replace=False)
+        assert_same_bits((values[pick], errors[pick]),
+                         per_point_twisted_em(s, a[pick], c[pick], tol))
+
+    def test_each_factor_once_per_block(self, monkeypatch):
+        s = 0.5 + 3j
+        a, c = twisted_em_inputs("grid", 10_000, 6)
+        coef_rows, head_powers = [], []
+        tail_coefs, neg_pow = lerch_core._tail_coefs, lerch_core._neg_pow
+
+        def counting_coefs(s, a_off, N, K):
+            coef_rows.append(a_off.copy())
+            return tail_coefs(s, a_off, N, K)
+
+        def counting_pow(x, s):
+            if np.ndim(x) == 2:   # the head's; the tail's are one per point
+                head_powers.append(np.size(x))
+            return neg_pow(x, s)
+
+        monkeypatch.setattr(lerch_core, "_tail_coefs", counting_coefs)
+        monkeypatch.setattr(lerch_core, "_neg_pow", counting_pow)
+        lerch_star_many(s, a, c)
+
+        # the distinct a by head length, longest first; each row holds
+        # 100 points, so the second block starts in row 81
+        a_off = np.unique(a - np.round(a))
+        N, _, _ = lerch_core._twisted_em_plan(s, np.abs(a_off), 1e-12)
+        N = np.sort(N)[::-1]
+        rows = np.concatenate(coef_rows)
+        assert np.array_equal(np.unique(rows), a_off)
+        assert rows.size <= a_off.size + 1
+        assert sum(head_powers) <= 100 * (N[0] + N[BLOCK_POINTS // 100])
+
+
+class TestTwistedEMHeadCap:
+    def test_beyond_the_cap_raises_at_once(self):
+        # t = 1e8 at a = 0.1 plans a head of 238,732,624 terms, past the
+        # 2^27 up to which the phases are exact
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="2\\^27"):
+            lerch_star_many(0.5 + 1e8j, [0.1], [0.5])
+        assert time.perf_counter() - start < 1.0
+
+    def test_below_the_cap_evaluates(self):
+        # t = 1e6: a head of 2,387,520 terms
+        values, errors = lerch_star_many(0.5 + 1e6j, [0.1], [0.5])
+        assert np.isfinite(values[0]) and np.isfinite(errors[0])
 
 
 def order_cases():
