@@ -29,7 +29,7 @@ from .errors import DomainError, IdentityViolationError
 from .lerch_core import lpm_is_identically_zero, r_pm_is_identically_zero
 from .quadrature import line_nodes
 from .special_functions import Parity, root_number, tate_gamma
-from .twisted_space import TwistedFn, apply_R, l_pm_twisted
+from .twisted_space import TwistedFn, apply_R, l_pm_pair_twisted
 
 __all__ = [
     "EigenBasis",
@@ -74,9 +74,10 @@ def build_eigenspace(s: complex) -> EigenBasis:
     """
     s = complex(s)
     parities = (Parity.PLUS, Parity.MINUS)
-    members = {f"L{p.value}": l_pm_twisted(s, p) for p in parities}
-    members.update({f"R{p.value}": apply_R(l_pm_twisted(1 - s, p), 1)
-                    for p in parities})
+    # each pair shares one engine pass per point set (R through L at 1 - s)
+    members = dict(zip(("L+", "L-"), l_pm_pair_twisted(s)))
+    members.update(zip(("R+", "R-"),
+                       (apply_R(F, 1) for F in l_pm_pair_twisted(1 - s))))
     degenerate = ([f"L{p.value}" for p in parities
                    if lpm_is_identically_zero(s, p)]
                   + [f"R{p.value}" for p in parities
@@ -89,19 +90,22 @@ def dependency_residual(basis: EigenBasis, points) -> float:
     """Max residual of L_s^pm = w_pm gamma^pm(1-s) R_s^pm at the points.
 
     Skips a parity when the Tate factor is at a pole (the degenerate
-    member is then identically zero instead).
+    member is then identically zero instead).  Both L members are
+    evaluated before the R members, so each pair shares one engine pass.
     """
     pts = np.asarray(points, dtype=float)
     a, c = pts[:, 0], pts[:, 1]
-    worst = 0.0
+    coeffs = {}
     for parity in (Parity.PLUS, Parity.MINUS):
         g = tate_gamma(1.0 - basis.s, parity)
-        if g.is_pole:
-            continue
-        coeff = root_number(parity) * g.value
-        lhs = basis.member(f"L{parity.value}").extend(a, c)
-        rhs = coeff * basis.member(f"R{parity.value}").extend(a, c)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        if not g.is_pole:
+            coeffs[parity.value] = root_number(parity) * g.value
+    lhs = [basis.member(f"L{p}").extend(a, c) for p in coeffs]
+    rhs = [coeff * basis.member(f"R{p}").extend(a, c)
+           for p, coeff in coeffs.items()]
+    worst = 0.0
+    for left, right in zip(lhs, rhs):
+        worst = max(worst, float(np.max(np.abs(left - right))))
     return worst
 
 
@@ -141,8 +145,18 @@ class FourierSlice:
         return complex(self.coefficients[n + N])
 
 
+def _slice_rule(denominator: int, N: int):
+    """(nodes, weights, phases) shared by the slices of one function:
+    the graded line rule and e^(-2 pi i n x) for n = -N .. N at its
+    nodes."""
+    x, w = line_nodes(denominator=denominator, max_mode=N,
+                      grade_depth=_GRADE_DEPTH)
+    ns = np.arange(-N, N + 1)
+    return x, w, np.exp(-2j * math.pi * np.outer(ns, x))
+
+
 def fourier_slice(F: TwistedFn, axis: str, fixed_coord: float,
-                  N: int) -> FourierSlice:
+                  N: int, *, _rule=None) -> FourierSlice:
     """Quadrature extraction of the slice coefficients n = -N .. N.
 
     Composite Gauss-Legendre with panels split at the function's declared
@@ -150,18 +164,18 @@ def fourier_slice(F: TwistedFn, axis: str, fixed_coord: float,
     lines, so integrable endpoint blow-ups (present outside the critical
     strip) integrate accurately; the sliver dropped at the grading cutoff
     biases every coefficient by the same O(cutoff^(1+alpha)) mass.
+    ``_rule`` is internal to :func:`characterize`, which builds the rule
+    for F's denominator and N once for all its slices; None builds it.
     """
     if axis not in ("a_axis", "c_axis"):
         raise DomainError("axis must be 'a_axis' or 'c_axis'")
-    x, w = line_nodes(denominator=F.denominator, max_mode=N,
-                      grade_depth=_GRADE_DEPTH)
+    x, w, phases = (_rule if _rule is not None
+                    else _slice_rule(F.denominator, N))
     if axis == "a_axis":
         vals = F.extend(x, fixed_coord)
     else:
         vals = (np.exp(2j * math.pi * fixed_coord * x)
                 * F.extend(fixed_coord, x))
-    ns = np.arange(-N, N + 1)
-    phases = np.exp(-2j * math.pi * np.outer(ns, x))
     coeffs = phases @ (w * vals)
     mags = np.abs(coeffs)
     if N >= 4:
@@ -239,7 +253,9 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
     # a_path: a-slices at t = n + x with exponent s and the L-basis;
     # c_path: c-slices at t = x - n with exponent 1 - s and the R-basis
     expo = s if a_path else 1.0 - s
-    slices = [fourier_slice(F, "a_axis" if a_path else "c_axis", lv, N)
+    rule = _slice_rule(F.denominator, N)
+    slices = [fourier_slice(F, "a_axis" if a_path else "c_axis", lv, N,
+                            _rule=rule)
               for lv in levels]
     # (normalized value, weight) on the A-side t > 0 and the B-side t < 0,
     # level by level and n ascending within a level: the order in which
@@ -272,7 +288,7 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
             # dual dilation identity g_{mn-k}(a) = m^(s-1) g_n((a+k)/m)
             eig = np.exp((s - 1.0) * math.log(m))
             for k in range(m):
-                sl = fourier_slice(F, "c_axis", (b + k) / m, N)
+                sl = fourier_slice(F, "c_axis", (b + k) / m, N, _rule=rule)
                 for n in range(-1, 2):
                     hecke_res = max(hecke_res,
                                     abs(base_sl[m * n - k] - eig * sl[n]))
@@ -281,13 +297,12 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
             "normalized Fourier coefficients are not piecewise constant; "
             "F is not in the eigenspace at this s",
             deviation=max(dev, hecke_res))
-    plus, minus = (l_pm_twisted(expo, parity)
-                   for parity in (Parity.PLUS, Parity.MINUS))
+    plus, minus = l_pm_pair_twisted(expo)
     if not a_path:
         plus, minus = apply_R(plus, 1), apply_R(minus, 1)
     ca, cb = 0.5 * (A + B), 0.5 * (A - B)
     # H applies the twist phase once, to the sum; adding two extensions
-    # would round differently
+    # would round differently.  The two members share one engine pass.
     H = TwistedFn(lambda aa, cc: ca * plus.extend(aa, cc)
                   + cb * minus.extend(aa, cc), F.denominator)
     rng = np.random.default_rng(7)

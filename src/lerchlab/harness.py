@@ -42,7 +42,7 @@ from .twisted_space import (
     kubert_1d,
     lattice_distance,
     lerch_star_twisted,
-    l_pm_twisted,
+    l_pm_pair_twisted,
     zeta_operator_partial,
 )
 
@@ -412,9 +412,13 @@ def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
                 a = sample_off_lattice(rng, n_pts, m, guard=5e-3)
                 c = sample_off_lattice(rng, n_pts, m, guard=5e-3)
                 eig = np.exp(-s * math.log(m))
-                for F in basis.active():
-                    tmf = apply_hecke(OperatorKind.T, m, F).extend(a, c)
-                    fv = F.extend(a, c)
+                # T_m F for both members, then F for both: each pair
+                # shares one engine pass per point set
+                pair = basis.active()
+                tmfs = [apply_hecke(OperatorKind.T, m, F).extend(a, c)
+                        for F in pair]
+                fvs = [F.extend(a, c) for F in pair]
+                for tmf, fv in zip(tmfs, fvs):
                     worst = max(worst, _rel_sup(tmf - eig * fv, fv))
             return worst
 
@@ -598,26 +602,32 @@ def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
             fp, fm = j_split(basis)
             a = rng.uniform(0.05, 0.95, 20)
             c = rng.uniform(0.05, 0.95, 20)
-            jp = apply_R(fp, 2)
-            jm = apply_R(fm, 2)
-            return max(
-                _sup(jp.extend(a, c) - fp.extend(a, c)),
-                _sup(jm.extend(a, c) + fm.extend(a, c)))
+            # J F for both members, then F for both, so each pair shares
+            # one engine pass per point set
+            jp, jm = (apply_R(f, 2).extend(a, c) for f in (fp, fm))
+            return max(_sup(jp - fp.extend(a, c)), _sup(jm + fm.extend(a, c)))
 
         yield "eigenspace:J F = +- F", {"s": s}, 1e-10, j_resid
 
         def r_action() -> float:
             a = rng.uniform(0.05, 0.95, 20)
             c = rng.uniform(0.05, 0.95, 20)
-            worst = 0.0
-            for parity, name in ((Parity.PLUS, "L+"), (Parity.MINUS, "L-")):
+            # R L for both members, then both targets: each pair shares
+            # one engine pass per point set
+            targets = dict(zip((Parity.PLUS, Parity.MINUS),
+                               l_pm_pair_twisted(1.0 - s)))
+            coeffs = {}
+            for parity in targets:
                 g = tate_gamma(1.0 - s, parity)
-                if g.is_pole:
-                    continue
-                target = l_pm_twisted(1.0 - s, parity)
-                lhs = apply_R(basis.member(name), 1).extend(a, c)
-                rhs = g.value / root_number(parity) * target.extend(a, c)
-                worst = max(worst, _sup(lhs - rhs))
+                if not g.is_pole:
+                    coeffs[parity] = g.value / root_number(parity)
+            lhs = [apply_R(basis.member(f"L{p.value}"), 1).extend(a, c)
+                   for p in coeffs]
+            rhs = [coeff * targets[p].extend(a, c)
+                   for p, coeff in coeffs.items()]
+            worst = 0.0
+            for left, right in zip(lhs, rhs):
+                worst = max(worst, _sup(left - right))
             return worst
 
         yield ("eigenspace:R L_s = w^-1 gamma(1-s) L_(1-s)", {"s": s}, r_tol,
@@ -688,16 +698,16 @@ def group_milnor_baseline(cfg: dict, rng: np.random.Generator):
             xs = rng.uniform(0.05, 0.95, 15)
             f1 = lambda x: hurwitz_many(1.0 - s, x, 1e-13)[0]
             f2 = lambda x: hurwitz_many(1.0 - s, 1.0 - x, 1e-13)[0]
+            # f1 and f2 at xs and at 1 - xs, once for every m below
+            (f1x, f2x), (f1r, f2r) = ([f1(x), f2(x)] for x in (xs, 1 - xs))
             worst = 0.0
             for m in range(1, m_max + 1):
                 eig = np.exp(-s * math.log(m)) if m > 1 else 1.0
-                for f in (f1, f2):
-                    worst = max(worst, _sup(kubert_1d(m, f, xs) - eig * f(xs)))
+                for f, fx in ((f1, f1x), (f2, f2x)):
+                    worst = max(worst, _sup(kubert_1d(m, f, xs) - eig * fx))
             # J_0 split: even/odd combinations are +-1 eigenfunctions
-            even = lambda x: f1(x) + f2(x)
-            odd = lambda x: f1(x) - f2(x)
-            worst = max(worst, _sup(even(1 - xs) - even(xs)),
-                        _sup(odd(1 - xs) + odd(xs)))
+            worst = max(worst, _sup((f1r + f2r) - (f1x + f2x)),
+                        _sup((f1r - f2r) + (f1x - f2x)))
             return worst
 
         yield ("milnor:Kubert eigenfunctions (Hurwitz basis)",

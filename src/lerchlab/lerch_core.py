@@ -31,9 +31,10 @@ The extended function zeta_star (two-sided support n + c > 0) and the
 symmetrized pair L^+/L^- are linear combinations of one-sided values; the
 completed functions multiply in the archimedean gamma factor.  Bases
 (n + c) are positive reals throughout, so (n + c)^(-s) carries no branch
-ambiguity.  One private engine, ``_engine``, evaluates zeta_star (kind
-None) and L^+/L^- (kind Parity.PLUS / Parity.MINUS) on arrays.
-``lerch_star``, ``lerch_star_many``, ``L_pm`` and ``l_pm_many`` wrap it;
+ambiguity.  One private engine, ``_engine``, evaluates zeta_star or the
+pair (L^+, L^-) on arrays; one pass gives both members of the pair.
+``lerch_star``, ``lerch_star_many``, ``L_pm`` and ``l_pm_many`` wrap it
+(``L_pm`` picks one member, ``l_pm_many`` one member or both);
 ``lerch_zeta`` at c > 1 and Re(s) > _SIGMA_LO sums the one-sided series at
 c itself.
 
@@ -911,10 +912,12 @@ def _reduce_to_cell(a: np.ndarray, c: np.ndarray):
 
 
 def _lpm_series_cell(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
-    """L^+ and L^- on the cell via the two one-sided halves.
+    """The pair (L^+, L^-) on the cell via the two one-sided halves.
 
     L^pm(s,a,c) = zeta(s,a,c) +- e^(-2 pi i a) zeta(s,1-a,1-c); both
-    halves are returned so L^+ + L^- = 2 zeta_star holds by construction.
+    members come from the same halves, so L^+ + L^- = 2 zeta_star holds
+    by construction.  Returns the members as the two rows of one array
+    and their shared error estimate.
     """
     z, e = _phi_dispatch(s, np.concatenate([a, 1.0 - a]),
                          np.concatenate([c, 1.0 - c]), tol)
@@ -922,17 +925,18 @@ def _lpm_series_cell(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     ea, eb = e[:a.size], e[a.size:]
     cross = np.exp(-2j * math.pi * a) * zb
     err = ea + eb + 1e-16 * (np.abs(za) + np.abs(zb))
-    return za + cross, za - cross, err
+    return np.array([za + cross, za - cross]), err
 
 
 def _lpm_reflected_cell(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
-    """L^+ and L^- on the cell through the functional equation.
+    """The pair (L^+, L^-) on the cell through the functional equation.
 
     L^pm(s,a,c) = w_pm gamma^pm(1-s) e^(-2 pi i a c) L^pm(1-s, 1-c, a),
-    with the right-hand pair expanded in one-sided sums at 1-s.
+    with the right-hand pair expanded in one-sided sums at 1-s.  Returns
+    the members as two rows, as :func:`_lpm_series_cell` does.
     """
     sp = 1.0 - complex(s)
-    lp_in, lm_in, err_in = _lpm_series_cell(sp, 1.0 - c, a, tol)
+    (lp_in, lm_in), err_in = _lpm_series_cell(sp, 1.0 - c, a, tol)
     gp = tate_gamma(sp, Parity.PLUS)
     gm = tate_gamma(sp, Parity.MINUS)
     if gp.is_pole or gm.is_pole:
@@ -943,32 +947,30 @@ def _lpm_reflected_cell(s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     lm = root_number(Parity.MINUS) * gm.value * pre * lm_in
     gmax = max(abs(gp.value), abs(gm.value))
     err = gmax * err_in + 1e-15 * (np.abs(lp) + np.abs(lm))
-    return lp, lm, err
+    return np.array([lp, lm]), err
 
 
-def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
-            tol: float):
+def _engine(pair: bool, s: complex, a: np.ndarray, c: np.ndarray, tol: float):
     """(values, errors, strategy) on arbitrary real (a, c).
 
-    ``parity`` None gives zeta_star, Parity.PLUS or Parity.MINUS the
-    matching member of the L-pair, which needs non-integer a and c.
-    Above _SIGMA_LO zeta_star is the one-sided series on the cell and the
-    L-pair its two halves; at or below it the L-pair is reflected, and
-    zeta_star is (L^+ + L^-)/2 there except at integer a, which keeps the
-    Hurwitz path (valid for all s != 1).
+    ``pair`` False gives zeta_star; True gives the L-pair as the rows
+    (L^+, L^-) of one array, with one error estimate for both, and needs
+    non-integer a and c.  Above _SIGMA_LO zeta_star is the one-sided
+    series on the cell and the L-pair its two halves; at or below it the
+    L-pair is reflected, and zeta_star is (L^+ + L^-)/2 there except at
+    integer a, which keeps the Hurwitz path (valid for all s != 1).
     """
     s = complex(s)
     a_red, c_red, phase = _reduce_to_cell(a, c)
     is_int_a = np.abs(a_red - np.round(a_red)) <= _INT_TOL
     reflect = s.real <= _SIGMA_LO
     strategy = Strategy.REFLECTED if reflect else Strategy.ACCELERATED
-    if parity is not None:
+    if pair:
         if np.any(is_int_a) or np.any(np.abs(c_red - np.round(c_red)) <= _INT_TOL):
             raise DegenerateParameterError(
                 "L^+/L^- need non-integer a and c (two-sided series degenerates)")
         cell = _lpm_reflected_cell if reflect else _lpm_series_cell
-        lp, lm, errors = cell(s, a_red, c_red, tol)
-        values = lp if parity is Parity.PLUS else lm
+        values, errors = cell(s, a_red, c_red, tol)
     elif not reflect:
         values, errors = _phi_dispatch(s, a_red, c_red, tol)
     else:
@@ -979,7 +981,7 @@ def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
             values[is_int_a], errors[is_int_a] = v, e
         rest = ~is_int_a
         if np.any(rest):
-            lp, lm, err = _lpm_reflected_cell(s, a_red[rest], c_red[rest], tol)
+            (lp, lm), err = _lpm_reflected_cell(s, a_red[rest], c_red[rest], tol)
             values[rest] = 0.5 * (lp + lm)
             errors[rest] = err
         else:
@@ -987,24 +989,32 @@ def _engine(parity: Parity | None, s: complex, a: np.ndarray, c: np.ndarray,
     return phase * values, errors, strategy
 
 
+# row of each L-pair member in the engine's pair output
+_PAIR_ROW = {Parity.PLUS: 0, Parity.MINUS: 1}
+
+
 def _at_point(parity: Parity | None, p: LerchParams, tol: float) -> EvalResult:
-    """The engine at one point."""
+    """The engine at one point: zeta_star for parity None, else the
+    named member of the L-pair."""
     values, errors, strategy = _engine(
-        parity, p.s, np.array([p.a], dtype=float), np.array([p.c], dtype=float),
-        tol)
+        parity is not None, p.s, np.array([p.a], dtype=float),
+        np.array([p.c], dtype=float), tol)
+    if parity is not None:
+        values = values[_PAIR_ROW[parity]]
     return EvalResult(complex(values[0]), float(errors[0]), strategy)
 
 
-def _on_arrays(parity: Parity | None, s: complex, a, c, tol: float):
-    """The engine over broadcast arrays; returns (values, errors)."""
+def _on_arrays(pair: bool, s: complex, a, c, tol: float):
+    """The engine over broadcast arrays; returns (values, errors), the
+    values with a leading axis of 2 for the pair."""
     a_arr, c_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
                                        np.asarray(c, dtype=float))
     _require_finite(s=s, a=a_arr, c=c_arr)
     _require_tol(tol)
     shape = a_arr.shape
-    values, errors, _ = _engine(parity, s, a_arr.ravel().copy(),
+    values, errors, _ = _engine(pair, s, a_arr.ravel().copy(),
                                 c_arr.ravel().copy(), tol)
-    return values.reshape(shape), errors.reshape(shape)
+    return values.reshape(values.shape[:-1] + shape), errors.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,7 +1084,7 @@ def lerch_star_many(s: complex, a, c, tol: float = TARGET_TOL):
     This is the engine entry used by the twisted-function layer; it skips
     the direct-summation gate and always uses the continuation strategies.
     """
-    return _on_arrays(None, s, a, c, tol)
+    return _on_arrays(False, s, a, c, tol)
 
 
 def lerch_zeta(p: LerchParams, tol: float = TARGET_TOL) -> EvalResult:
@@ -1116,9 +1126,19 @@ def L_pm(p: LerchParams, parity: Parity, tol: float = TARGET_TOL) -> EvalResult:
     return _at_point(parity, p, tol)
 
 
-def l_pm_many(s: complex, parity: Parity, a, c, tol: float = TARGET_TOL):
-    """Vectorized L^+/L^- over broadcast arrays; returns (values, errors)."""
-    return _on_arrays(parity, s, a, c, tol)
+def l_pm_many(s: complex, parity: Parity | None, a, c,
+              tol: float = TARGET_TOL):
+    """Vectorized L^+/L^- over broadcast arrays; returns (values, errors).
+
+    One engine pass gives both members.  ``parity`` None returns both, as
+    values[0] = L^+ and values[1] = L^-, with one error estimate for
+    both; a parity returns its member, copied out so that holding it does
+    not hold the other member too.
+    """
+    values, errors = _on_arrays(True, s, a, c, tol)
+    if parity is None:
+        return values, errors
+    return values[_PAIR_ROW[parity]].copy(), errors
 
 
 def lpm_is_identically_zero(s: complex, parity: Parity) -> bool:

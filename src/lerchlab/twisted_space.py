@@ -41,6 +41,7 @@ __all__ = [
     "OperatorKind",
     "lerch_star_twisted",
     "l_pm_twisted",
+    "l_pm_pair_twisted",
     "apply_hecke",
     "apply_R",
     "kubert_1d",
@@ -167,13 +168,38 @@ def lerch_star_twisted(s: complex) -> TwistedFn:
     return TwistedFn(core, 1, f"zeta*({s})")
 
 
+def l_pm_pair_twisted(s: complex) -> tuple[TwistedFn, TwistedFn]:
+    """(L^+, L^-)(s, ., .) as two TwistedFns that share engine passes.
+
+    One engine pass returns both members.  The pair keeps the last pass
+    as one immutable snapshot (inputs, values), replaced by a single
+    assignment; a member whose core is called at arrays whose dtype,
+    shape and bytes equal the snapshot's returns a copy of its stored
+    values without calling the engine.  So both members evaluated at the
+    same points one after the other cost one pass, with the values each
+    would get alone.
+    """
+    snapshot = None
+
+    def member(row: int, parity: Parity) -> TwistedFn:
+        def core(a, c):
+            nonlocal snapshot
+            key = tuple((x.dtype.str, x.shape, x.tobytes()) for x in (a, c))
+            snap = snapshot
+            if snap is None or snap[0] != key:
+                snap = (key, l_pm_many(s, None, a, c)[0])
+                snapshot = snap
+            return snap[1][row].copy()
+
+        return TwistedFn(core, 1, f"L{parity.value}({s})")
+
+    return member(0, Parity.PLUS), member(1, Parity.MINUS)
+
+
 def l_pm_twisted(s: complex, parity: Parity) -> TwistedFn:
-    """L^pm(s, ., .) as a TwistedFn (admissible denominator 1)."""
-
-    def core(a, c):
-        return l_pm_many(s, parity, a, c)[0]
-
-    return TwistedFn(core, 1, f"L{parity.value}({s})")
+    """L^pm(s, ., .) as a TwistedFn (admissible denominator 1): the
+    member named by ``parity`` of a pair from :func:`l_pm_pair_twisted`."""
+    return l_pm_pair_twisted(s)[0 if parity is Parity.PLUS else 1]
 
 
 # ---------------------------------------------------------------------------

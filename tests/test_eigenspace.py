@@ -224,6 +224,53 @@ class TestCharacterize:
                 assert abs(lhs - rhs) < 5e-8, (n, k)
 
 
+class TestSharedSliceRule:
+    """characterize builds one slice rule per call and hands it to every
+    fourier_slice call; the coefficients are those of standalone calls."""
+
+    # (F, s, path): a-slices on the a path; c-slices, dilation slices
+    # included, on the c path
+    CASES = [(lambda: lerch_star_twisted(2.0), 2.0, "a_path"),
+             (lambda: lerch_star_twisted(0.3), 0.3, "c_path")]
+
+    @pytest.mark.parametrize("make, s, path", CASES)
+    def test_line_nodes_once_per_call(self, make, s, path, monkeypatch):
+        import lerchlab.eigenspace as eigenspace
+
+        calls = []
+        nodes = eigenspace.line_nodes
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return nodes(*args, **kwargs)
+
+        monkeypatch.setattr(eigenspace, "line_nodes", counted)
+        characterize(make(), s, path)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make, s, path", CASES)
+    def test_shared_rule_is_bit_identical(self, make, s, path, monkeypatch):
+        import lerchlab.eigenspace as eigenspace
+
+        seen = []
+        slice_fn = eigenspace.fourier_slice
+
+        def spy(F, axis, x0, N, *, _rule=None):
+            assert _rule is not None
+            sl = slice_fn(F, axis, x0, N, _rule=_rule)
+            seen.append((F, axis, x0, N, sl.coefficients))
+            return sl
+
+        monkeypatch.setattr(eigenspace, "fourier_slice", spy)
+        characterize(make(), s, path)
+        assert len(seen) == (11 if path == "a_path" else 11 + 5)
+        axis = "a_axis" if path == "a_path" else "c_axis"
+        assert {entry[1] for entry in seen} == {axis}
+        for F, axis, x0, N, coeffs in seen:
+            alone = slice_fn(F, axis, x0, N).coefficients
+            assert alone.tobytes() == coeffs.tobytes(), x0
+
+
 class TestFourFamilyInvariance:
     def test_eigenvalues_in_strip(self):
         # inside the critical strip the eigenspace is invariant under all

@@ -281,6 +281,27 @@ class TestRunSuite:
         ]
         assert [d for _, d, _ in draws] == [d for d in per_case for _ in "ac"]
 
+    def test_milnor_samples_evaluated_once_per_s(self, monkeypatch):
+        # f1, f2 at xs and 1 - xs once per s, plus one Kubert average per
+        # m and member: 2 m_max + 4 Hurwitz calls, not 4 m_max + 8
+        import lerchlab.harness as harness
+
+        calls = []
+        hurwitz = harness.hurwitz_many
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return hurwitz(*args)
+
+        monkeypatch.setattr(harness, "hurwitz_many", counted)
+        m_max = 7
+        cfg = dict(DEFAULT_SUITE_CONFIG, milnor_m_max=m_max,
+                   milnor_s=(2.5, 0.5))
+        records = CHECK_GROUPS["milnor_baseline"](cfg, np.random.default_rng(3))
+        assert [r.passed for r in records] == [True, True]
+        assert len(calls) == 2 * (2 * m_max + 4)
+        assert calls.count((15,)) == 2 * 4
+
     def test_records_roundtrip_csv(self, tmp_path):
         _, records = run_suite(groups=["special_fns"])
         write_csv(records, tmp_path / "out.csv")

@@ -268,6 +268,19 @@ class TestLPm:
                     assert abs(vals[i] - single.value) <= (errs[i]
                                                            + single.error_estimate)
 
+    def test_many_without_parity_gives_both_rows(self):
+        # parity None: both members from one pass, each row bit-equal to
+        # the one-member call, with the shared estimate
+        a = np.array([[0.21], [0.67]])
+        c = np.array([0.3, 1.7, -0.6])
+        for s in (-1.5 + 2j, 0.7 + 2j):
+            vals, errs = l_pm_many(s, None, a, c)
+            assert vals.shape == (2, 2, 3)
+            for row, parity in enumerate((Parity.PLUS, Parity.MINUS)):
+                one, one_errs = l_pm_many(s, parity, a, c)
+                assert vals[row].tobytes() == one.tobytes()
+                assert errs.tobytes() == one_errs.tobytes()
+
 
 class TestEvalStrip:
     """The one-sided series path on its own."""

@@ -13,12 +13,14 @@ from lerchlab import (
     apply_hecke,
     hurwitz_many,
     kubert_1d,
+    l_pm_many,
     l_pm_twisted,
     lerch_star_twisted,
     riemann_zeta,
     zeta_operator_partial,
 )
 from lerchlab.harness import sample_off_lattice, smooth_twisted_fn
+from lerchlab.twisted_space import l_pm_pair_twisted
 
 from oracles import direct_sum
 
@@ -177,6 +179,100 @@ class TestROperator:
         with pytest.raises(DomainError):
             apply_R(F, 4)
         assert apply_R(F, 0) is F
+
+
+class TestPairEvaluator:
+    """l_pm_pair_twisted: both members from one engine pass per point set,
+    bit-equal to l_pm_many with the twist phase, never a stale value."""
+
+    # (s, apply R): the L-pair at Re s > 0, and the R-pair of s = -1.5,
+    # R^pm = R L^pm(1 - s), the active pair at Re s <= 0
+    CASES = [(0.7 + 2.0j, False), (-1.5, True)]
+
+    @staticmethod
+    def reference(s, parity):
+        # l_pm_many(s, parity, a, c)[0], with the twist phase applied by
+        # TwistedFn.extend
+        return TwistedFn(lambda a, c: l_pm_many(s, parity, a, c)[0])
+
+    @classmethod
+    def pair_and_reference(cls, s, reflected):
+        s_eval = 1 - s if reflected else s
+        pair = l_pm_pair_twisted(s_eval)
+        ref = [cls.reference(s_eval, p) for p in (Parity.PLUS, Parity.MINUS)]
+        if reflected:
+            pair = tuple(apply_R(F, 1) for F in pair)
+            ref = [apply_R(F, 1) for F in ref]
+        return pair, ref
+
+    @staticmethod
+    def count_engine(monkeypatch):
+        import lerchlab.lerch_core as core
+
+        calls = []
+        engine = core._engine
+
+        def counted(*args):
+            calls.append(args[0])
+            return engine(*args)
+
+        monkeypatch.setattr(core, "_engine", counted)
+        return calls
+
+    @pytest.mark.parametrize("s, reflected", CASES)
+    def test_second_member_makes_no_engine_call(self, s, reflected,
+                                                monkeypatch):
+        pair, ref = self.pair_and_reference(s, reflected)
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0.05, 0.95, 12)
+        c = rng.uniform(0.05, 2.95, 12)   # floor(c) > 0: the twist phase
+        calls = self.count_engine(monkeypatch)
+        got = [F.extend(a, c) for F in pair]
+        assert calls == [True]
+        want = [F.extend(a, c) for F in ref]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("s, reflected", CASES)
+    def test_interleaved_calls_are_never_stale(self, s, reflected,
+                                               monkeypatch):
+        (plus, minus), (ref_plus, ref_minus) = self.pair_and_reference(
+            s, reflected)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.05, 0.95, (2, 7))
+        Y = rng.uniform(0.05, 0.95, (2, 7))
+        calls = self.count_engine(monkeypatch)
+        first = plus.extend(*X)
+        assert minus.extend(*Y).tobytes() == ref_minus.extend(*Y).tobytes()
+        again = plus.extend(*X)
+        assert first.tobytes() == again.tobytes()
+        assert again.tobytes() == ref_plus.extend(*X).tobytes()
+        assert len(calls) == 3 + 2   # three pair passes, two references
+
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_single_member_evaluator(self, parity):
+        # l_pm_twisted is one member of its own pair
+        rng = np.random.default_rng(6)
+        a = rng.uniform(0.05, 0.95, 9)
+        c = rng.uniform(-1.95, 1.95, 9)
+        got = l_pm_twisted(0.7 + 2.0j, parity).extend(a, c)
+        want = self.reference(0.7 + 2.0j, parity).extend(a, c)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_inputs_and_outputs_mutated_in_place(self, row):
+        members = l_pm_pair_twisted(0.7 + 2.0j)
+        ref = self.reference(0.7 + 2.0j, (Parity.PLUS, Parity.MINUS)[row])
+        a = np.array([0.21, 0.38, 0.77])
+        c = np.array([0.33, 0.64, 0.52])
+        out = members[row].core(a, c)
+        out[:] = 0.0              # the caller owns what it gets back
+        assert members[row].core(a, c).tobytes() == ref.core(a, c).tobytes()
+        a[1] = 0.59               # same array objects, new bytes
+        other = members[1 - row].core(a, c)
+        assert members[row].core(a, c).tobytes() == ref.core(a, c).tobytes()
+        assert other.tobytes() == l_pm_many(
+            0.7 + 2.0j, (Parity.PLUS, Parity.MINUS)[1 - row], a, c)[0].tobytes()
 
 
 class TestKubert:
