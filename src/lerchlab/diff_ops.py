@@ -11,10 +11,12 @@ Operators on twisted-periodic functions F(a, c):
 Derivatives are fourth-order central differences applied to the
 extension of the function, so the same code path serves any
 TwistedFn; the raising/lowering identities on the Lerch family provide an
-independent series-side cross check.  Mixed partials use the tensor
-product of the one-dimensional stencils (the functions under test are
-C^{1,1} away from their lattices, so the order of differentiation is
-immaterial).
+independent series-side cross check.  Each stencil calls the function
+once, on arrays with a leading stencil axis of 4 (the offsets 2h, h, -h,
+-2h), so a point function must broadcast over such leading axes.  Mixed
+partials use the tensor product of the one-dimensional stencils, one call
+on 16 offsets (the functions under test are C^{1,1} away from their
+lattices, so the order of differentiation is immaterial).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .twisted_space import (
     OperatorKind,
     PointFn,
     TwistedFn,
-    l_pm_twisted,
+    l_pm_pair_twisted,
     lattice_distance,
     r_power,
 )
@@ -47,11 +49,10 @@ TWO_PI_I = 2j * math.pi
 def _check_step(h: float):
     """The step h of the fourth-order central differences must lie in
     [1e-8, 0.05], and keep (a +- 2h, c +- 2h) off the discontinuity
-    lattice at the evaluation points (else :class:`LatticePointError`)."""
-    if h < 1e-8:
-        raise DomainError("stencil step underflow (h < 1e-8)")
-    if h > 0.05:
-        raise DomainError("stencil step too large for unit-cell geometry")
+    lattice at the evaluation points (else :class:`LatticePointError`);
+    NaN lies in no interval."""
+    if not 1e-8 <= h <= 0.05:
+        raise DomainError(f"stencil step h = {h!r} must lie in [1e-8, 0.05]")
 
 
 def _point_fn(F) -> PointFn:
@@ -61,14 +62,14 @@ def _point_fn(F) -> PointFn:
 
 
 def _d_axis(f: PointFn, axis: int, h: float) -> PointFn:
-    def shifted(a, c, delta):
-        if axis == 0:
-            return f(a + delta, c)
-        return f(a, c + delta)
+    """d/da (axis 0) or d/dc (axis 1) of f by the fourth-order central
+    difference, from one call of f at all four offsets."""
+    steps = np.array([2 * h, h, -h, -2 * h])
 
     def deriv(a, c):
-        return (-shifted(a, c, 2 * h) + 8.0 * shifted(a, c, h)
-                - 8.0 * shifted(a, c, -h) + shifted(a, c, -2 * h)) / (12.0 * h)
+        delta = steps.reshape((4,) + (1,) * max(np.ndim(a), np.ndim(c)))
+        v = f(a + delta, c) if axis == 0 else f(a, c + delta)
+        return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
     return deriv
 
 
@@ -221,6 +222,7 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
     """
     from .lerch_core import lpm_is_identically_zero
 
+    _check_step(h)
     s = complex(s)
     for shift in (-1.0, 0.0, 1.0):
         for parity in (Parity.PLUS, Parity.MINUS):
@@ -231,15 +233,15 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
 
     pts = np.asarray(samples, dtype=float)
     a, c = pts[:, 0], pts[:, 1]
+    Ls = l_pm_pair_twisted(s)
+    lower = [apply_D(OperatorKind.D_MINUS, F, a, c, h) for F in Ls]
+    raise_ = [apply_D(OperatorKind.D_PLUS, F, a, c, h) for F in Ls]
+    # both members of a shifted pair at the same points: one engine pass
+    down = [F.extend(a, c) for F in l_pm_pair_twisted(s - 1)]
+    up = [F.extend(a, c) for F in l_pm_pair_twisted(s + 1)]
     worst = 0.0
-    flip = {Parity.PLUS: Parity.MINUS, Parity.MINUS: Parity.PLUS}
-    for parity in (Parity.PLUS, Parity.MINUS):
-        Ls = l_pm_twisted(s, parity)
-        down = l_pm_twisted(s - 1, flip[parity])
-        up = l_pm_twisted(s + 1, flip[parity])
-        lower = apply_D(OperatorKind.D_MINUS, Ls, a, c, h)
-        raise_ = apply_D(OperatorKind.D_PLUS, Ls, a, c, h)
+    for i in (0, 1):   # member i lands on the other parity, 1 - i
         worst = max(worst,
-                    float(np.max(np.abs(lower - down.extend(a, c)))),
-                    float(np.max(np.abs(raise_ + s * up.extend(a, c)))))
+                    float(np.max(np.abs(lower[i] - down[1 - i]))),
+                    float(np.max(np.abs(raise_[i] + s * up[1 - i]))))
     return worst

@@ -199,6 +199,14 @@ def _neg_pow(x, s):
     return np.exp(np.log(x) * (-s))
 
 
+def _frac(x):
+    """x - floor(x), elementwise: the fractional part, with the bits of
+    ``np.mod(x, 1.0)`` (both round the same exact value once; -0.0 and
+    the integers give +0.0, a tiny negative x gives 1.0) at a fraction
+    of its cost."""
+    return x - np.floor(x)
+
+
 # ---------------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin
 # ---------------------------------------------------------------------------
@@ -650,7 +658,7 @@ def _em_phases(hi, lo, n):
     split by :func:`_split`; within a few units of rounding for any
     n < 2^27, since n hi is exact and frac(n a) so carries no rounding
     error of the size of n a."""
-    return np.exp(2j * math.pi * (np.mod(hi * n, 1.0) + lo * n))
+    return np.exp(2j * math.pi * (_frac(hi * n) + lo * n))
 
 
 def _split(a_off: np.ndarray):
@@ -840,7 +848,7 @@ def _phi_levin(s: complex, a: np.ndarray, c: np.ndarray, tol: float,
         # a named phase and an unnamed power: from 256 KiB up numpy reuses
         # the power's temporary for the product and swaps the operands,
         # and the product's last bits depend on that order
-        phase = _gather(np.exp(2j * math.pi * np.mod(n * a_u, 1.0)), a_inverse)
+        phase = _gather(np.exp(2j * math.pi * _frac(n * a_u)), a_inverse)
         return phase * _gather(_neg_pow(n + c_u, s), c_inverse)
 
     head = 8
@@ -904,10 +912,10 @@ def _reduce_to_cell(a: np.ndarray, c: np.ndarray):
     zeta_star(s, a, c) = phase * zeta_star(s, a_red, c_red) with
     phase = e^(-2 pi i k a) for the c-shift by k; a-shifts are free.
     """
-    a_red = np.mod(a, 1.0)
+    a_red = _frac(a)
     k = np.ceil(c).astype(int) - 1
     c_red = c - k
-    phase = np.exp(-2j * math.pi * np.mod(k * a_red, 1.0))
+    phase = np.exp(-2j * math.pi * _frac(k * a_red))
     return a_red, c_red, phase
 
 
@@ -1036,7 +1044,7 @@ def _zeta_direct(p: LerchParams, tol: float) -> EvalResult:
     chunk = 500_000
     for start in range(0, N, chunk):
         n = np.arange(start, min(start + chunk, N), dtype=float)
-        phases = np.exp(2j * math.pi * np.mod(n * p.a, 1.0))
+        phases = np.exp(2j * math.pi * _frac(n * p.a))
         total += np.sum(phases * _neg_pow(n + p.c, s))
     bound = (N - 1.0 + p.c) ** (1.0 - sigma) / (sigma - 1.0)
     return EvalResult(complex(total), float(bound + 1e-16 * abs(total) * math.sqrt(N)),

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
+import numbers
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, LatticePointError
-from .lerch_core import l_pm_many, lerch_star_many
+from .lerch_core import _frac, l_pm_many, lerch_star_many
 from .special_functions import Parity
 
 __all__ = [
@@ -86,10 +87,10 @@ def _twist_phase(k: np.ndarray, a_red: np.ndarray) -> np.ndarray:
         ku, inv = np.unique(k, return_inverse=True)
         if ku.size * a_red.size < full:
             ku = ku.reshape((-1,) + (1,) * a_red.ndim)
-            table = np.exp(-2j * math.pi * np.mod(ku * a_red, 1.0))
+            table = np.exp(-2j * math.pi * _frac(ku * a_red))
             return np.take_along_axis(table, inv.reshape((1,) + k.shape),
                                       axis=0)[0]
-    return np.exp(-2j * math.pi * np.mod(k * a_red, 1.0))
+    return np.exp(-2j * math.pi * _frac(k * a_red))
 
 
 class TwistedFn:
@@ -143,7 +144,7 @@ class TwistedFn:
         a_arr = a_arr.reshape((1,) * (len(shape) - a_arr.ndim) + a_arr.shape)
         c_arr = c_arr.reshape((1,) * (len(shape) - c_arr.ndim) + c_arr.shape)
         self._check_off_grid(a_arr, c_arr)
-        a_red = np.mod(a_arr, 1.0)
+        a_red = _frac(a_arr)
         k = np.floor(c_arr)
         c_red = c_arr - k
         values = np.asarray(self.core(a_red, c_red), dtype=np.complex128)
@@ -274,19 +275,37 @@ def apply_R(F: TwistedFn, power: int = 1) -> TwistedFn:
 # one-variable specializations
 # ---------------------------------------------------------------------------
 
-def kubert_1d(m: int, f: Callable, x) -> complex | np.ndarray:
-    """One-variable averaging operator (1/m) sum_{k<m} f((x+k)/m), x in (0,1)."""
-    if m < 1:
-        raise DomainError("Kubert index m must be >= 1")
+def kubert_1d(m: int | Sequence[int], f: Callable,
+              x) -> complex | np.ndarray:
+    """One-variable averaging operator (1/m) sum_{k<m} f((x+k)/m), x in (0,1).
+
+    ``m`` is one index or a sequence of them.  For a sequence, f is called
+    once, on the preimages of every m in the order given (for each m, k
+    ascending), and row i of the result is the average for the i-th m,
+    with the bits of the call with that m alone when f's values at a
+    point do not depend on the other points of its call.
+    """
+    ms = [m] if np.ndim(m) == 0 else list(m)
+    if not ms or not all(isinstance(mi, numbers.Integral) and mi >= 1
+                         for mi in ms):
+        raise DomainError(f"Kubert indices must be integers >= 1, got {m!r}")
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0) or np.any(x_arr >= 1.0):
+    if not np.all((x_arr > 0.0) & (x_arr < 1.0)):
         raise DomainError("Kubert operator needs x in the open interval (0,1)")
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
-    k = np.arange(m).reshape((m,) + (1,) * x_arr.ndim)
-    vals = np.asarray(f((x_arr[None] + k) / m), dtype=np.complex128)
-    out = vals.sum(axis=0) / m
-    return complex(out[0]) if scalar else out
+    ones = (1,) * x_arr.ndim
+    vals = np.asarray(f(np.concatenate(
+        [(x_arr[None] + np.arange(mi).reshape((mi,) + ones)) / mi
+         for mi in ms])), dtype=np.complex128)
+    ends = np.cumsum(ms)
+    out = np.stack([vals[end - mi:end].sum(axis=0) / mi
+                    for mi, end in zip(ms, ends)])
+    if scalar:
+        out = out[:, 0]
+    if np.ndim(m) == 0:
+        return complex(out[0]) if scalar else out[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -190,3 +190,97 @@ class TestRaisingLoweringScan:
         pts = [(0.3, 0.6)]
         with pytest.raises(DomainError):
             raising_lowering_scan(1.0, pts)  # L_0^+ vanishes identically
+
+
+class TestNaNStep:
+    # NaN fails both h < 1e-8 and h > 0.05, so the interval test must
+    # be written the other way round
+    def test_apply_d(self):
+        with pytest.raises(DomainError):
+            apply_D(OperatorKind.D_PLUS, smooth_fn(), 0.3, 0.4, float("nan"))
+
+    def test_commutator_residual(self):
+        with pytest.raises(DomainError):
+            commutator_residual("D+ D- - D- D+ = I", smooth_fn(),
+                                [(0.3, 0.4)], float("nan"))
+
+    def test_raising_lowering_scan(self):
+        with pytest.raises(DomainError):
+            raising_lowering_scan(2.5, [(0.3, 0.4)], float("nan"))
+
+
+def four_call_d_axis(f, axis, h):
+    """The fourth-order central difference with one call of f per offset."""
+    def shifted(a, c, delta):
+        return f(a + delta, c) if axis == 0 else f(a, c + delta)
+
+    def deriv(a, c):
+        return (-shifted(a, c, 2 * h) + 8.0 * shifted(a, c, h)
+                - 8.0 * shifted(a, c, -h) + shifted(a, c, -2 * h)) / (12.0 * h)
+    return deriv
+
+
+STENCIL_FNS = {
+    "smooth": lambda: smooth_fn(5),
+    "L+(2.5)": lambda: l_pm_twisted(2.5, Parity.PLUS),
+    "L-(0.5+3i)": lambda: l_pm_twisted(0.5 + 3j, Parity.MINUS),
+}
+RELATIONS = ["D+ D- - D- D+ = I", "D+ R = -2 pi i R D-",
+             "D- R = (1/2 pi i) R D+", "D_L R + R D_L = -R",
+             "D_L R^2 = R^2 D_L"]
+
+
+class TestStackedStencil:
+    """One call of f on a leading stencil axis gives the bits of one call
+    per offset, for every operator and commutation relation."""
+
+    @pytest.fixture
+    def pts(self):
+        rng = np.random.default_rng(12)
+        return rng.uniform(0.15, 0.85, (6, 2))
+
+    @staticmethod
+    def both(monkeypatch, compute):
+        import lerchlab.diff_ops as diff_ops
+
+        stacked = compute()
+        with monkeypatch.context() as m:
+            m.setattr(diff_ops, "_d_axis", four_call_d_axis)
+            reference = compute()
+        return stacked, reference
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    @pytest.mark.parametrize("name", STENCIL_FNS)
+    @pytest.mark.parametrize("kind", [OperatorKind.D_PLUS, OperatorKind.D_MINUS,
+                                      OperatorKind.D_L, OperatorKind.DELTA_L])
+    def test_apply_d(self, monkeypatch, pts, kind, name, h):
+        F = STENCIL_FNS[name]()
+        got, want = self.both(
+            monkeypatch, lambda: apply_D(kind, F, pts[:, 0], pts[:, 1], h))
+        assert got.shape == (len(pts),)
+        assert got.tobytes() == want.tobytes()
+        got, want = self.both(monkeypatch,
+                              lambda: apply_D(kind, F, *pts[0], h))
+        assert isinstance(got, complex) and got == want
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    @pytest.mark.parametrize("name", STENCIL_FNS)
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_commutator_residual(self, monkeypatch, pts, relation, name, h):
+        F = STENCIL_FNS[name]()
+        got, want = self.both(
+            monkeypatch, lambda: commutator_residual(relation, F, pts, h))
+        assert got == want
+
+    def test_one_call_per_stencil(self):
+        calls = []
+        f = smooth_fn()
+
+        def counted(a, c):
+            calls.append(np.broadcast_shapes(np.shape(a), np.shape(c)))
+            return f.extend(a, c)
+
+        a, c = np.array([0.3, 0.4, 0.5]), np.array([0.6, 0.5, 0.4])
+        apply_D(OperatorKind.D_PLUS, counted, a, c, 1e-3)
+        apply_D(OperatorKind.D_L, counted, a, c, 1e-3)
+        assert calls == [(4, 3), (4, 4, 3), (4, 3)]

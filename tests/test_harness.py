@@ -282,8 +282,8 @@ class TestRunSuite:
         assert [d for _, d, _ in draws] == [d for d in per_case for _ in "ac"]
 
     def test_milnor_samples_evaluated_once_per_s(self, monkeypatch):
-        # f1, f2 at xs and 1 - xs once per s, plus one Kubert average per
-        # m and member: 2 m_max + 4 Hurwitz calls, not 4 m_max + 8
+        # f1, f2 at xs and 1 - xs once per s, plus one Kubert call over
+        # every m per member: 6 Hurwitz calls, not 2 m_max + 4
         import lerchlab.harness as harness
 
         calls = []
@@ -299,8 +299,30 @@ class TestRunSuite:
                    milnor_s=(2.5, 0.5))
         records = CHECK_GROUPS["milnor_baseline"](cfg, np.random.default_rng(3))
         assert [r.passed for r in records] == [True, True]
-        assert len(calls) == 2 * (2 * m_max + 4)
+        assert len(calls) == 2 * 6
         assert calls.count((15,)) == 2 * 4
+        assert calls.count((m_max * (m_max + 1) // 2, 15)) == 2 * 2
+
+    @pytest.mark.parametrize("s", [2.5, 1.7, 0.5])
+    def test_differential_eigen_engine_calls(self, monkeypatch, s):
+        # one engine call per stencil, not per offset, and both members
+        # of a pair at F and at D_plus's points from one pass: at most 21
+        # calls per s, where one call per offset and member made 105
+        import lerchlab.lerch_core as lerch_core
+
+        calls = []
+        engine = lerch_core._engine
+
+        def counted(*args):
+            calls.append(args[1])
+            return engine(*args)
+
+        monkeypatch.setattr(lerch_core, "_engine", counted)
+        cfg = dict(DEFAULT_SUITE_CONFIG, eigen_points=1, eigen_s=(s,))
+        records = CHECK_GROUPS["differential_eigen"](
+            cfg, np.random.default_rng(5))
+        assert [r.passed for r in records] == [True, True]
+        assert 0 < len(calls) <= 21
 
     def test_records_roundtrip_csv(self, tmp_path):
         _, records = run_suite(groups=["special_fns"])

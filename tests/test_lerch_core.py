@@ -627,6 +627,24 @@ class TestTermKernels:
         bound = 4.0 * 2.0 ** -53 * (1.0 + abs(s) * abs(math.log(x)))
         assert abs(got - ref) <= bound * abs(ref)
 
+    def test_frac_has_the_bits_of_np_mod(self):
+        # both round the same exact value once; -0.0 and the integers give
+        # +0.0, tiny negatives round up to 1.0
+        rng = np.random.default_rng(16)
+        big = 2.0 ** 52
+        x = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0, -3.0,
+             0.5, -0.5, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), -2.0 ** -60,
+             big, -big, big + 1.0, -big - 1.0, big - 0.5, -big + 0.5,
+             2.0 ** 60, -2.0 ** 60, 1e300, -1e300],
+            rng.uniform(-1.0, 1.0, 20000),
+            rng.uniform(-1e6, 1e6, 20000),
+            rng.integers(-10 ** 6, 10 ** 6, 2000).astype(float),
+            rng.integers(1, 2 ** 27, 20000) * rng.uniform(-1.0, 1.0, 20000),
+            np.ldexp(rng.uniform(-1.0, 1.0, 20000), rng.integers(-1074, 64, 20000)),
+        ])
+        assert lerch_core._frac(x).tobytes() == np.mod(x, 1.0).tobytes()
+
     @pytest.mark.parametrize("d", [0.02, -0.02, 0.1, -0.1, 1.0 / 3.0, -1.0 / 3.0])
     def test_boole_coefs_against_recursion(self, d):
         # b_0 = 1/(1 - z), b_k = z/(1 - z) sum_{j=1..k} b_(k-j)/j!

@@ -301,6 +301,45 @@ class TestKubert:
         with pytest.raises(DomainError):
             kubert_1d(0, f, 0.5)
 
+    @pytest.mark.parametrize("x", [float("nan"), [0.3, float("nan")], 0.0, 1.0])
+    def test_x_outside_the_open_interval(self, x):
+        calls = []
+        with pytest.raises(DomainError):
+            kubert_1d(2, lambda y: calls.append(y) or y, x)
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, 0, -1, [1, 2.5], [1, 0], []])
+    def test_m_not_an_integer_at_least_one(self, m):
+        with pytest.raises(DomainError):
+            kubert_1d(m, lambda y: np.asarray(y, dtype=complex), 0.3)
+
+    @pytest.mark.parametrize("s", [2.5, 0.5, -1.5])
+    @pytest.mark.parametrize("m_max", [12, 40])
+    def test_rows_over_m_are_the_single_m_calls(self, s, m_max):
+        # one Hurwitz call on the preimages of every m; each row has the
+        # bits of its own call (the head length N is planned from the
+        # smallest preimage, min(xs)/m_max, and is the same here)
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return hurwitz_many(1.0 - s, x, 1e-13)[0]
+
+        xs = np.random.default_rng(m_max).uniform(0.05, 0.95, 15)
+        ms = range(1, m_max + 1)
+        rows = kubert_1d(ms, f, xs)
+        assert calls == [(m_max * (m_max + 1) // 2, 15)]
+        assert rows.shape == (m_max, 15)
+        for m, row in zip(ms, rows):
+            assert row.tobytes() == kubert_1d(m, f, xs).tobytes()
+
+    def test_rows_at_a_scalar_x(self):
+        f = lambda x: np.exp(2j * np.pi * x) * (1.0 + x)
+        rows = kubert_1d((3, 1, 7), f, 0.41)
+        assert rows.shape == (3,)
+        assert [complex(r) for r in rows] == [kubert_1d(m, f, 0.41)
+                                             for m in (3, 1, 7)]
+
 
 def cancellation_noise(c: float, M: int, sigma: float) -> float:
     """Rounding-noise allowance for sum_{m<=M} T_m zeta at (a, c).
