@@ -16,7 +16,11 @@ once, on arrays with a leading stencil axis of 4 (the offsets 2h, h, -h,
 -2h), so a point function must broadcast over such leading axes.  Mixed
 partials use the tensor product of the one-dimensional stencils, one call
 on 16 offsets (the functions under test are C^{1,1} away from their
-lattices, so the order of differentiation is immaterial).
+lattices, so the order of differentiation is immaterial).  A function
+whose values carry leading member axes (a pair from
+:func:`~lerchlab.twisted_space.l_pm_pair_twisted`) keeps them in front:
+the stencil axis is found after them, and each row is the operator
+applied to that member alone.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, LatticePointError, UnknownRelationError
+from .lerch_core import _require_finite, lpm_is_identically_zero
 from .special_functions import Parity
 from .twisted_space import (
     OperatorKind,
@@ -67,8 +72,11 @@ def _d_axis(f: PointFn, axis: int, h: float) -> PointFn:
     steps = np.array([2 * h, h, -h, -2 * h])
 
     def deriv(a, c):
-        delta = steps.reshape((4,) + (1,) * max(np.ndim(a), np.ndim(c)))
+        nd = max(np.ndim(a), np.ndim(c))
+        delta = steps.reshape((4,) + (1,) * nd)
         v = f(a + delta, c) if axis == 0 else f(a, c + delta)
+        if v.ndim > nd + 1:   # the stencil axis follows f's member axes
+            v = np.moveaxis(v, -1 - nd, 0)
         return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
     return deriv
 
@@ -115,6 +123,7 @@ _D_BUILDERS = {
 
 
 def _check_margin(F, a: np.ndarray, c: np.ndarray, h: float):
+    _require_finite(a=a, c=c)
     if not isinstance(F, TwistedFn):
         return
     d = F.denominator
@@ -129,7 +138,8 @@ def _check_margin(F, a: np.ndarray, c: np.ndarray, h: float):
 def apply_D(kind: OperatorKind, F, a, c,
             h: float = 1e-4) -> complex | np.ndarray:
     """Apply D_plus, D_minus, D_L or Delta_L to F at (a, c), with
-    stencil step h."""
+    stencil step h.  Leading member axes of F's values lead the result;
+    on scalar (a, c) they are the result."""
     _check_step(h)
     if kind not in _D_BUILDERS:
         raise DomainError(f"not a differential operator: {kind}")
@@ -141,7 +151,10 @@ def apply_D(kind: OperatorKind, F, a, c,
     _check_margin(F, a_arr, c_arr, h)
     op = _D_BUILDERS[kind](_point_fn(F), h)
     values = op(a_arr, c_arr)
-    return complex(values.ravel()[0]) if scalar else values
+    if not scalar:
+        return values
+    values = values[..., 0]
+    return values if values.ndim else complex(values)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +233,6 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
     the shifted functions evaluated by the series engine (not by
     differentiation), so the two routes are independent.
     """
-    from .lerch_core import lpm_is_identically_zero
-
     _check_step(h)
     s = complex(s)
     for shift in (-1.0, 0.0, 1.0):
@@ -233,15 +244,11 @@ def raising_lowering_scan(s: complex, samples: Sequence[tuple[float, float]],
 
     pts = np.asarray(samples, dtype=float)
     a, c = pts[:, 0], pts[:, 1]
-    Ls = l_pm_pair_twisted(s)
-    lower = [apply_D(OperatorKind.D_MINUS, F, a, c, h) for F in Ls]
-    raise_ = [apply_D(OperatorKind.D_PLUS, F, a, c, h) for F in Ls]
-    # both members of a shifted pair at the same points: one engine pass
-    down = [F.extend(a, c) for F in l_pm_pair_twisted(s - 1)]
-    up = [F.extend(a, c) for F in l_pm_pair_twisted(s + 1)]
-    worst = 0.0
-    for i in (0, 1):   # member i lands on the other parity, 1 - i
-        worst = max(worst,
-                    float(np.max(np.abs(lower[i] - down[1 - i]))),
-                    float(np.max(np.abs(raise_[i] + s * up[1 - i]))))
-    return worst
+    pair = l_pm_pair_twisted(s)
+    lower = apply_D(OperatorKind.D_MINUS, pair, a, c, h)
+    raise_ = apply_D(OperatorKind.D_PLUS, pair, a, c, h)
+    # member i lands on the other parity: rows reversed
+    down = l_pm_pair_twisted(s - 1).extend(a, c)[::-1]
+    up = l_pm_pair_twisted(s + 1).extend(a, c)[::-1]
+    return max(float(np.max(np.abs(lower - down))),
+               float(np.max(np.abs(raise_ + s * up))))

@@ -5,10 +5,12 @@ For fixed s the space is spanned by the four twisted-periodic functions
 
     L_s^+, L_s^-,  R_s^pm(a,c) = e^(-2 pi i a c) L^pm(1-s, 1-c, a),
 
-of which each L/R pair is proportional through the functional equation
-L_s^pm = w_pm gamma^pm(1-s) R_s^pm, so the span is two-dimensional.  At
-integer s exactly one of the four vanishes identically (a zero or pole of
-the Tate factor) and the other family carries the space.
+held as two pair-valued functions, (L^+, L^-) and (R^+, R^-), each
+evaluated in one engine pass.  L_s^pm and R_s^pm are proportional through
+the functional equation L_s^pm = w_pm gamma^pm(1-s) R_s^pm, so the span
+is two-dimensional.  At integer s exactly one of the four vanishes
+identically (a zero or pole of the Tate factor) and the other family
+carries the space.
 
 The characterization procedure recovers, from a candidate simultaneous
 Hecke eigenfunction F, the two constants (A, B) such that F matches
@@ -49,78 +51,71 @@ _GRADE_DEPTH = 48
 
 @dataclass
 class EigenBasis:
-    """Spanning set of the eigenspace at s with the active working pair;
-    ``members`` maps "L+", "L-", "R+" and "R-" to their evaluators."""
+    """Spanning set of the eigenspace at s as two pairs: ``pairs["L"]``
+    is (L+, L-) and ``pairs["R"]`` is (R+, R-), each one TwistedFn with
+    the members on a leading axis of 2 (see
+    :func:`~lerchlab.twisted_space.l_pm_pair_twisted`).  ``active`` names
+    the working pair and ``degenerate`` the members ("L+" .. "R-") that
+    vanish identically."""
 
     s: complex
-    members: dict[str, TwistedFn]
-    active_pair: tuple[str, str]
+    pairs: dict[str, TwistedFn]
+    active: str
     degenerate: tuple[str, ...] = ()
-
-    def member(self, name: str) -> TwistedFn:
-        return self.members[name]
-
-    def active(self) -> tuple[TwistedFn, TwistedFn]:
-        return self.member(self.active_pair[0]), self.member(self.active_pair[1])
 
 
 def build_eigenspace(s: complex) -> EigenBasis:
     """Spanning evaluators at s, with the active pair selected by regime.
 
-    Re(s) > 0 activates (L+, L-) and Re(s) < 1 activates (R+, R-); in the
-    overlap both are valid (L is preferred) and the functional-equation
-    dependency can be cross-checked with :func:`dependency_residual`.
-    Identically-vanishing members at integer s are flagged, not fatal.
+    Re(s) > 0 activates the L-pair and Re(s) <= 0 the R-pair; in the
+    overlap 0 < Re(s) < 1 both are valid (L is preferred) and the
+    functional-equation dependency can be cross-checked with
+    :func:`dependency_residual`.  Identically-vanishing members at integer
+    s are flagged, not fatal.
     """
     s = complex(s)
     parities = (Parity.PLUS, Parity.MINUS)
-    # each pair shares one engine pass per point set (R through L at 1 - s)
-    members = dict(zip(("L+", "L-"), l_pm_pair_twisted(s)))
-    members.update(zip(("R+", "R-"),
-                       (apply_R(F, 1) for F in l_pm_pair_twisted(1 - s))))
+    pairs = {"L": l_pm_pair_twisted(s),
+             "R": apply_R(l_pm_pair_twisted(1 - s), 1)}
     degenerate = ([f"L{p.value}" for p in parities
                    if lpm_is_identically_zero(s, p)]
                   + [f"R{p.value}" for p in parities
                      if r_pm_is_identically_zero(s, p)])
-    active = ("L+", "L-") if s.real > 0 else ("R+", "R-")
-    return EigenBasis(s, members, active, tuple(degenerate))
+    return EigenBasis(s, pairs, "L" if s.real > 0 else "R", tuple(degenerate))
 
 
 def dependency_residual(basis: EigenBasis, points) -> float:
     """Max residual of L_s^pm = w_pm gamma^pm(1-s) R_s^pm at the points.
 
     Skips a parity when the Tate factor is at a pole (the degenerate
-    member is then identically zero instead).  Both L members are
-    evaluated before the R members, so each pair shares one engine pass.
+    member is then identically zero instead).
     """
     pts = np.asarray(points, dtype=float)
     a, c = pts[:, 0], pts[:, 1]
-    coeffs = {}
-    for parity in (Parity.PLUS, Parity.MINUS):
+    lhs = basis.pairs["L"].extend(a, c)
+    rhs = basis.pairs["R"].extend(a, c)
+    worst = 0.0
+    for row, parity in enumerate((Parity.PLUS, Parity.MINUS)):
         g = tate_gamma(1.0 - basis.s, parity)
         if not g.is_pole:
-            coeffs[parity.value] = root_number(parity) * g.value
-    lhs = [basis.member(f"L{p}").extend(a, c) for p in coeffs]
-    rhs = [coeff * basis.member(f"R{p}").extend(a, c)
-           for p, coeff in coeffs.items()]
-    worst = 0.0
-    for left, right in zip(lhs, rhs):
-        worst = max(worst, float(np.max(np.abs(left - right))))
+            coeff = root_number(parity) * g.value
+            worst = max(worst,
+                        float(np.max(np.abs(lhs[row] - coeff * rhs[row]))))
     return worst
 
 
-def j_split(basis: EigenBasis) -> tuple[TwistedFn, TwistedFn]:
-    """The J-eigenbasis (F+, F-) with J F^pm = +- F^pm.
+def j_split(basis: EigenBasis) -> TwistedFn:
+    """The J-eigenbasis (F+, F-) with J F^pm = +- F^pm, as one pair.
 
     The active pair is already J-diagonal; a degenerate active member is
     an error (the caller should use the other family's basis).
     """
-    for name in basis.active_pair:
+    for name in (basis.active + "+", basis.active + "-"):
         if name in basis.degenerate:
             raise DomainError(
                 f"active basis member {name} vanishes identically at "
                 f"s = {basis.s}; J-split is degenerate")
-    return basis.active()
+    return basis.pairs[basis.active]
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +292,16 @@ def characterize(F: TwistedFn, s: complex, path: str = "a_path",
             "normalized Fourier coefficients are not piecewise constant; "
             "F is not in the eigenspace at this s",
             deviation=max(dev, hecke_res))
-    plus, minus = l_pm_pair_twisted(expo)
-    if not a_path:
-        plus, minus = apply_R(plus, 1), apply_R(minus, 1)
+    pair = apply_R(l_pm_pair_twisted(expo), 0 if a_path else 1)
     ca, cb = 0.5 * (A + B), 0.5 * (A - B)
+
+    def h_core(aa, cc):
+        plus, minus = pair.extend(aa, cc)
+        return ca * plus + cb * minus
+
     # H applies the twist phase once, to the sum; adding two extensions
-    # would round differently.  The two members share one engine pass.
-    H = TwistedFn(lambda aa, cc: ca * plus.extend(aa, cc)
-                  + cb * minus.extend(aa, cc), F.denominator)
+    # would round differently
+    H = TwistedFn(h_core, F.denominator)
     rng = np.random.default_rng(7)
     pa = rng.uniform(0.06, 0.94, 40)
     pc = rng.uniform(0.06, 0.94, 40)

@@ -400,11 +400,12 @@ def group_functional_equations(cfg: dict, rng: np.random.Generator):
 
 @_check_group
 def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
-    """T_m F = m^(-s) F for both active basis members of the eigenspace."""
+    """T_m F = m^(-s) F for both members of the active eigenspace pair."""
     m_max = _size(cfg, "hecke_m_max", 2)
     n_pts = _size(cfg, "hecke_points", 1)
     for s in _s_values(cfg, "hecke_s"):
         basis = build_eigenspace(s)
+        pair = basis.pairs[basis.active]
 
         def eigen_resid() -> float:
             worst = 0.0
@@ -413,19 +414,14 @@ def group_hecke_eigen(cfg: dict, rng: np.random.Generator):
                 a = sample_off_lattice(rng, n_pts, m, guard=5e-3)
                 c = sample_off_lattice(rng, n_pts, m, guard=5e-3)
                 eig = np.exp(-s * math.log(m))
-                # T_m F for both members, then F for both: each pair
-                # shares one engine pass per point set
-                pair = basis.active()
-                tmfs = [apply_hecke(OperatorKind.T, m, F).extend(a, c)
-                        for F in pair]
-                fvs = [F.extend(a, c) for F in pair]
-                for tmf, fv in zip(tmfs, fvs):
-                    worst = max(worst, _rel_sup(tmf - eig * fv, fv))
+                fv = pair.extend(a, c)
+                tmf = apply_hecke(OperatorKind.T, m, pair).extend(a, c)
+                worst = max(worst, _rel_sup(tmf - eig * fv, fv))
             return worst
 
         yield ("hecke_eigen:T_m F = m^-s F",
                {"s": s, "m_max": m_max, "points": n_pts,
-                "basis": basis.active_pair},
+                "basis": (basis.active + "+", basis.active + "-")},
                1e-8, eigen_resid)
 
 
@@ -564,17 +560,12 @@ def group_differential_eigen(cfg: dict, rng: np.random.Generator):
             basis = build_eigenspace(s)
             a = np.array([p[0] for p in pts])
             c = np.array([p[1] for p in pts])
-            members = basis.active()
-            # F for both members first, so the pair shares that engine pass
-            fvs = [F.extend(a, c) for F in members]
-            dls = [apply_D(OperatorKind.D_L, F, a, c, h) for F in members]
-            deltas = [apply_D(OperatorKind.DELTA_L, F, a, c, h)
-                      for F in members]
-            worst = 0.0
-            for fv, dl, delta in zip(fvs, dls, deltas):
-                worst = max(worst, _rel_sup(dl + s * fv, fv),
-                            _rel_sup(delta + (s - 0.5) * fv, fv))
-            return worst
+            pair = basis.pairs[basis.active]
+            fv = pair.extend(a, c)
+            dl = apply_D(OperatorKind.D_L, pair, a, c, h)
+            delta = dl + 0.5 * fv   # Delta_L = D_L + I/2, as apply_D forms it
+            return max(_rel_sup(dl + s * fv, fv),
+                       _rel_sup(delta + (s - 0.5) * fv, fv))
 
         yield ("differential_eigen:D_L F = -s F, Delta_L F = -(s-1/2) F",
                {"s": s, "points": n_pts, "h": h}, tol, eigen_resid)
@@ -591,8 +582,8 @@ def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
         def gram_gap() -> float:
             a = rng.uniform(0.08, 0.92, 60)
             c = rng.uniform(0.08, 0.92, 60)
-            V = np.stack([basis.member(name).extend(a, c)
-                          for name in ("L+", "L-", "R+", "R-")], axis=1)
+            V = np.stack([*basis.pairs["L"].extend(a, c),
+                          *basis.pairs["R"].extend(a, c)], axis=1)
             gram = V.conj().T @ V / V.shape[0]
             sv = np.linalg.svd(gram, compute_uv=False)
             gap = sv[1] / max(sv[2], 1e-300)
@@ -603,35 +594,26 @@ def group_eigenspace_structure(cfg: dict, rng: np.random.Generator):
                gram_gap)
 
         def j_resid() -> float:
-            fp, fm = j_split(basis)
+            pair = j_split(basis)
             a = rng.uniform(0.05, 0.95, 20)
             c = rng.uniform(0.05, 0.95, 20)
-            # J F for both members, then F for both, so each pair shares
-            # one engine pass per point set
-            jp, jm = (apply_R(f, 2).extend(a, c) for f in (fp, fm))
-            return max(_sup(jp - fp.extend(a, c)), _sup(jm + fm.extend(a, c)))
+            jp, jm = apply_R(pair, 2).extend(a, c)
+            fp, fm = pair.extend(a, c)
+            return max(_sup(jp - fp), _sup(jm + fm))
 
         yield "eigenspace:J F = +- F", {"s": s}, 1e-10, j_resid
 
         def r_action() -> float:
             a = rng.uniform(0.05, 0.95, 20)
             c = rng.uniform(0.05, 0.95, 20)
-            # R L for both members, then both targets: each pair shares
-            # one engine pass per point set
-            targets = dict(zip((Parity.PLUS, Parity.MINUS),
-                               l_pm_pair_twisted(1.0 - s)))
-            coeffs = {}
-            for parity in targets:
+            lhs = apply_R(basis.pairs["L"], 1).extend(a, c)
+            rhs = l_pm_pair_twisted(1.0 - s).extend(a, c)
+            worst = 0.0
+            for row, parity in enumerate((Parity.PLUS, Parity.MINUS)):
                 g = tate_gamma(1.0 - s, parity)
                 if not g.is_pole:
-                    coeffs[parity] = g.value / root_number(parity)
-            lhs = [apply_R(basis.member(f"L{p.value}"), 1).extend(a, c)
-                   for p in coeffs]
-            rhs = [coeff * targets[p].extend(a, c)
-                   for p, coeff in coeffs.items()]
-            worst = 0.0
-            for left, right in zip(lhs, rhs):
-                worst = max(worst, _sup(left - right))
+                    coeff = g.value / root_number(parity)
+                    worst = max(worst, _sup(lhs[row] - coeff * rhs[row]))
             return worst
 
         yield ("eigenspace:R L_s = w^-1 gamma(1-s) L_(1-s)", {"s": s}, r_tol,

@@ -22,6 +22,13 @@ The four Hecke families are
 
 (the conjugates of T_m by powers of the order-4 operator
 R f(a,c) = e^(-2 pi i a c) f(1-c, a)).
+
+A core may return values with leading member axes in front of the point
+shape: :func:`l_pm_pair_twisted` returns (L^+, L^-) on a leading axis of
+2 from one engine pass, and the extension, the Hecke families and the R
+powers carry such axes through, with each row bit-equal to the same
+operator applied to that member alone.  The pair keeps no state, so the
+order of calls never matters.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, LatticePointError
-from .lerch_core import _frac, l_pm_many, lerch_star_many
+from .lerch_core import _frac, _require_finite, l_pm_many, lerch_star_many
 from .special_functions import Parity
 
 __all__ = [
@@ -75,6 +82,15 @@ _HECKE_KINDS = {OperatorKind.T, OperatorKind.S, OperatorKind.T_VEE,
                 OperatorKind.S_VEE}
 
 
+def _positive_int(value, name: str) -> int:
+    """value as an int; DomainError unless it is an integer >= 1
+    (``numbers.Integral``, and not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _twist_phase(k: np.ndarray, a_red: np.ndarray) -> np.ndarray:
     """e^(-2 pi i frac(k a')) over the broadcast shape of k and a'.
 
@@ -105,10 +121,8 @@ class TwistedFn:
 
     def __init__(self, core: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  denominator: int = 1, label: str = ""):
-        if denominator < 1:
-            raise DomainError("denominator must be a positive integer")
         self.core = core
-        self.denominator = int(denominator)
+        self.denominator = _positive_int(denominator, "denominator")
         self.label = label
 
     def __repr__(self):
@@ -116,6 +130,7 @@ class TwistedFn:
 
     def _check_off_grid(self, a: np.ndarray, c: np.ndarray):
         d = self.denominator
+        _require_finite(a=a, c=c)
         for name, x in (("a", a), ("c", c)):
             dist = lattice_distance(x, d)
             if np.any(dist <= GRID_TOL):
@@ -135,6 +150,9 @@ class TwistedFn:
         an (Na, 1) column of a and a (1, Nc) row of c reach the core as
         such, and the result is broadcast to the full shape only at the
         end.  The twist phase is computed only when some floor(c) != 0.
+        Leading member axes of the core's values are kept, in front of
+        the point shape; on scalar input they are the result.  A
+        non-finite a or c raises :class:`DomainError`.
         """
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
         c_arr = np.atleast_1d(np.asarray(c, dtype=float))
@@ -150,10 +168,12 @@ class TwistedFn:
         values = np.asarray(self.core(a_red, c_red), dtype=np.complex128)
         if np.any(k != 0.0):
             values = _twist_phase(k, a_red) * values
+        lead = values.shape[:values.ndim - len(shape)]
         if scalar:
-            return complex(values.ravel()[0])
-        if values.shape != shape:
-            values = np.broadcast_to(values, shape).copy()
+            values = values.reshape(lead)
+            return values if lead else complex(values)
+        if values.shape != lead + shape:
+            values = np.broadcast_to(values, lead + shape).copy()
         return values
 
     def __call__(self, a, c):
@@ -169,38 +189,19 @@ def lerch_star_twisted(s: complex) -> TwistedFn:
     return TwistedFn(core, 1, f"zeta*({s})")
 
 
-def l_pm_pair_twisted(s: complex) -> tuple[TwistedFn, TwistedFn]:
-    """(L^+, L^-)(s, ., .) as two TwistedFns that share engine passes.
-
-    One engine pass returns both members.  The pair keeps the last pass
-    as one immutable snapshot (inputs, values), replaced by a single
-    assignment; a member whose core is called at arrays whose dtype,
-    shape and bytes equal the snapshot's returns a copy of its stored
-    values without calling the engine.  So both members evaluated at the
-    same points one after the other cost one pass, with the values each
-    would get alone.
-    """
-    snapshot = None
-
-    def member(row: int, parity: Parity) -> TwistedFn:
-        def core(a, c):
-            nonlocal snapshot
-            key = tuple((x.dtype.str, x.shape, x.tobytes()) for x in (a, c))
-            snap = snapshot
-            if snap is None or snap[0] != key:
-                snap = (key, l_pm_many(s, None, a, c)[0])
-                snapshot = snap
-            return snap[1][row].copy()
-
-        return TwistedFn(core, 1, f"L{parity.value}({s})")
-
-    return member(0, Parity.PLUS), member(1, Parity.MINUS)
+def l_pm_pair_twisted(s: complex) -> TwistedFn:
+    """(L^+, L^-)(s, ., .) as one TwistedFn (admissible denominator 1)
+    from one engine pass: its values have shape (2,) + the point shape,
+    L^+ in row 0 and L^- in row 1."""
+    return TwistedFn(lambda a, c: l_pm_many(s, None, a, c)[0], 1,
+                     f"L+-({s})")
 
 
 def l_pm_twisted(s: complex, parity: Parity) -> TwistedFn:
-    """L^pm(s, ., .) as a TwistedFn (admissible denominator 1): the
-    member named by ``parity`` of a pair from :func:`l_pm_pair_twisted`."""
-    return l_pm_pair_twisted(s)[0 if parity is Parity.PLUS else 1]
+    """L^pm(s, ., .) as a TwistedFn (admissible denominator 1): the row
+    named by ``parity`` of :func:`l_pm_pair_twisted`, bit for bit."""
+    return TwistedFn(lambda a, c: l_pm_many(s, parity, a, c)[0], 1,
+                     f"L{parity.value}({s})")
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +212,34 @@ def apply_hecke(kind: OperatorKind, m: int, F: TwistedFn) -> TwistedFn:
     """Apply one of the four Hecke families; the result has denominator m*d."""
     if kind not in _HECKE_KINDS:
         raise DomainError(f"not a Hecke family: {kind}")
-    if m < 1:
-        raise DomainError("Hecke index m must be >= 1")
-    m = int(m)
+    m = _positive_int(m, "Hecke index m")
+    # the k axis of the preimages sits just before the point axes, after
+    # any member axes of F's values
 
     if kind is OperatorKind.T:
         def core(a, c, _m=m, _F=F):
             k = np.arange(_m).reshape((_m,) + (1,) * np.ndim(a))
             vals = _F.extend((a[None] + k) / _m, _m * c[None])
-            return vals.sum(axis=0) / _m
+            return vals.sum(axis=-1 - np.ndim(a)) / _m
     elif kind is OperatorKind.S:
         def core(a, c, _m=m, _F=F):
             k = np.arange(_m).reshape((_m,) + (1,) * np.ndim(a))
             phase = np.exp(2j * math.pi * k * a[None])
             vals = _F.extend(_m * a[None], (c[None] + k) / _m)
-            return (phase * vals).sum(axis=0) / _m
+            return (phase * vals).sum(axis=-1 - np.ndim(a)) / _m
     elif kind is OperatorKind.T_VEE:
         def core(a, c, _m=m, _F=F):
             k = np.arange(_m).reshape((_m,) + (1,) * np.ndim(a))
             phase = np.exp(2j * math.pi * ((1 - _m) * a[None] + k) / _m)
             vals = _F.extend((a[None] + k) / _m, 1.0 + _m * (c[None] - 1.0))
-            return (phase * vals).sum(axis=0) / _m
+            return (phase * vals).sum(axis=-1 - np.ndim(a)) / _m
     else:  # S_VEE
         def core(a, c, _m=m, _F=F):
             k = np.arange(_m).reshape((_m,) + (1,) * np.ndim(a))
             phase = np.exp(2j * math.pi * (_m - (k + 1)) * a[None])
             vals = _F.extend(1.0 + _m * (a[None] - 1.0),
                              (c[None] + _m - (k + 1)) / _m)
-            return (phase * vals).sum(axis=0) / _m
+            return (phase * vals).sum(axis=-1 - np.ndim(a)) / _m
 
     label = f"{kind.value}_{m}({F.label})"
     return TwistedFn(core, m * F.denominator, label)
@@ -286,9 +287,9 @@ def kubert_1d(m: int | Sequence[int], f: Callable,
     point do not depend on the other points of its call.
     """
     ms = [m] if np.ndim(m) == 0 else list(m)
-    if not ms or not all(isinstance(mi, numbers.Integral) and mi >= 1
-                         for mi in ms):
-        raise DomainError(f"Kubert indices must be integers >= 1, got {m!r}")
+    if not ms:
+        raise DomainError("Kubert indices: got an empty sequence")
+    ms = [_positive_int(mi, "Kubert index m") for mi in ms]
     x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr > 0.0) & (x_arr < 1.0)):
         raise DomainError("Kubert operator needs x in the open interval (0,1)")
@@ -319,8 +320,7 @@ def zeta_operator_partial(M: int, F: TwistedFn, a: float, c: float) -> complex:
     F = zeta(s, ., .) with Re(s) > 1 the sum converges to
     zeta_Riemann(s) * F(a, c) as M grows.
     """
-    if M < 1:
-        raise DomainError("M must be >= 1")
+    M = _positive_int(M, "M")
     ms = []
     ks = []
     for m in range(1, M + 1):

@@ -305,9 +305,9 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("s", [2.5, 1.7, 0.5])
     def test_differential_eigen_engine_calls(self, monkeypatch, s):
-        # one engine call per stencil, not per offset, and both members
-        # of a pair at F and at D_plus's points from one pass: at most 21
-        # calls per s, where one call per offset and member made 105
+        # one engine call per stencil, not per offset, for the whole pair
+        # at once, and Delta_L F from D_L F and F in hand: at most 8 calls
+        # per s, where one call per offset and member made 105
         import lerchlab.lerch_core as lerch_core
 
         calls = []
@@ -322,7 +322,7 @@ class TestRunSuite:
         records = CHECK_GROUPS["differential_eigen"](
             cfg, np.random.default_rng(5))
         assert [r.passed for r in records] == [True, True]
-        assert 0 < len(calls) <= 21
+        assert 0 < len(calls) <= 8
 
     def test_records_roundtrip_csv(self, tmp_path):
         _, records = run_suite(groups=["special_fns"])
@@ -332,7 +332,7 @@ class TestRunSuite:
 
 
 class TestGoldenSuite:
-    def test_full_default_suite_matches_golden(self, tmp_path):
+    def test_full_default_suite_matches_golden(self, default_suite):
         # record list (identities and count) is pinned by the suite
         # definition; a change here is an interface change
         import pathlib
@@ -340,9 +340,7 @@ class TestGoldenSuite:
         golden = json.loads(
             (pathlib.Path(__file__).parent / "golden_suite_identities.json")
             .read_text())
-        code, records = run_suite(json_path=tmp_path / "full.json",
-                                  csv_path=tmp_path / "full.csv",
-                                  deterministic_timing=True)
+        code, records, _ = default_suite
         assert code == 0
         assert [r.identity for r in records] == golden
         assert all(r.passed for r in records)

@@ -9,8 +9,10 @@ from lerchlab import (
     OperatorKind,
     Parity,
     TwistedFn,
+    apply_D,
     apply_R,
     apply_hecke,
+    build_eigenspace,
     hurwitz_many,
     kubert_1d,
     l_pm_many,
@@ -20,6 +22,7 @@ from lerchlab import (
     zeta_operator_partial,
 )
 from lerchlab.harness import sample_off_lattice, smooth_twisted_fn
+from lerchlab.quadrature import rectangle_grid
 from lerchlab.twisted_space import l_pm_pair_twisted
 
 from oracles import direct_sum
@@ -108,6 +111,35 @@ class TestExtend:
             G.extend(good[:, None], np.array([0.2, 1.5])[None, :])
 
 
+class TestNonFinitePoints:
+    """A non-finite a or c raises DomainError naming it, before the
+    lattice check (which would warn on inf) and before any evaluation."""
+
+    @pytest.mark.parametrize("a, c, name", [
+        (float("nan"), 0.3, "a"), (float("inf"), 0.3, "a"),
+        (0.3, float("-inf"), "c"), (np.array([0.3, np.nan]), 0.4, "a")])
+    def test_extend(self, a, c, name):
+        f = smooth_twisted_fn(np.random.default_rng(0))
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            f.extend(a, c)
+
+    def test_extend_of_a_lerch_function(self):
+        with pytest.raises(DomainError, match="^c must be finite"):
+            lerch_star_twisted(2.0).extend(0.3, float("inf"))
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_apply_d(self, a):
+        f = smooth_twisted_fn(np.random.default_rng(0))
+        with pytest.raises(DomainError, match="^a must be finite"):
+            apply_D(OperatorKind.D_L, f, a, 0.3, 1e-3)
+
+    @pytest.mark.parametrize("kind", [OperatorKind.T, OperatorKind.S])
+    def test_hecke_image(self, kind):
+        G = apply_hecke(kind, 3, smooth_twisted_fn(np.random.default_rng(0)))
+        with pytest.raises(DomainError, match="^c must be finite"):
+            G.extend(np.array([0.2, 0.4]), np.array([0.3, np.inf]))
+
+
 class TestHecke:
     def test_t1_is_identity(self, F):
         G = apply_hecke(OperatorKind.T, 1, F)
@@ -142,6 +174,43 @@ class TestHecke:
             apply_hecke(OperatorKind.T, 0, F)
         with pytest.raises(DomainError):
             apply_hecke(OperatorKind.D_L, 2, F)
+
+
+class TestIntegerIndices:
+    """Hecke indices, denominators, zeta-operator lengths and Kubert
+    indices are integers >= 1 (numbers.Integral, not bool); anything else
+    raises DomainError instead of being truncated."""
+
+    BAD = [2.5, 2.0, float("nan"), True, 0, -3]
+
+    @pytest.mark.parametrize("m", BAD)
+    @pytest.mark.parametrize("kind", [OperatorKind.T, OperatorKind.S,
+                                      OperatorKind.T_VEE, OperatorKind.S_VEE])
+    def test_hecke_index(self, F, kind, m):
+        with pytest.raises(DomainError, match="Hecke index m"):
+            apply_hecke(kind, m, F)
+
+    @pytest.mark.parametrize("d", BAD)
+    def test_denominator(self, d):
+        with pytest.raises(DomainError, match="denominator"):
+            TwistedFn(poly_core, d)
+
+    @pytest.mark.parametrize("M", BAD)
+    def test_zeta_operator_length(self, F, M):
+        with pytest.raises(DomainError, match="M must be"):
+            zeta_operator_partial(M, F, 0.3, 0.4)
+
+    @pytest.mark.parametrize("m", [True, [2, True]])
+    def test_kubert_bool(self, m):
+        with pytest.raises(DomainError, match="Kubert index m"):
+            kubert_1d(m, lambda y: np.asarray(y, dtype=complex), 0.3)
+
+    def test_numpy_integers_accepted(self, F):
+        G = apply_hecke(OperatorKind.T, np.int64(3), F)
+        assert G.denominator == 3 and type(G.denominator) is int
+        assert TwistedFn(poly_core, np.int32(2)).denominator == 2
+        assert zeta_operator_partial(np.int64(1), F, 0.3, 0.4) == \
+            F.extend(0.3, 0.4)
 
 
 class TestROperator:
@@ -182,8 +251,9 @@ class TestROperator:
 
 
 class TestPairEvaluator:
-    """l_pm_pair_twisted: both members from one engine pass per point set,
-    bit-equal to l_pm_many with the twist phase, never a stale value."""
+    """l_pm_pair_twisted: (L+, L-) on a leading member axis from one engine
+    pass per point set, bit-equal to l_pm_many with the twist phase; the
+    members from l_pm_twisted keep nothing between calls."""
 
     # (s, apply R): the L-pair at Re s > 0, and the R-pair of s = -1.5,
     # R^pm = R L^pm(1 - s), the active pair at Re s <= 0
@@ -196,14 +266,17 @@ class TestPairEvaluator:
         return TwistedFn(lambda a, c: l_pm_many(s, parity, a, c)[0])
 
     @classmethod
-    def pair_and_reference(cls, s, reflected):
+    def pair_members_reference(cls, s, reflected):
         s_eval = 1 - s if reflected else s
+        parities = (Parity.PLUS, Parity.MINUS)
         pair = l_pm_pair_twisted(s_eval)
-        ref = [cls.reference(s_eval, p) for p in (Parity.PLUS, Parity.MINUS)]
+        members = [l_pm_twisted(s_eval, p) for p in parities]
+        ref = [cls.reference(s_eval, p) for p in parities]
         if reflected:
-            pair = tuple(apply_R(F, 1) for F in pair)
+            pair = apply_R(pair, 1)
+            members = [apply_R(F, 1) for F in members]
             ref = [apply_R(F, 1) for F in ref]
-        return pair, ref
+        return pair, members, ref
 
     @staticmethod
     def count_engine(monkeypatch):
@@ -220,15 +293,16 @@ class TestPairEvaluator:
         return calls
 
     @pytest.mark.parametrize("s, reflected", CASES)
-    def test_second_member_makes_no_engine_call(self, s, reflected,
-                                                monkeypatch):
-        pair, ref = self.pair_and_reference(s, reflected)
+    def test_one_engine_call_per_point_set_for_the_whole_pair(
+            self, s, reflected, monkeypatch):
+        pair, _, ref = self.pair_members_reference(s, reflected)
         rng = np.random.default_rng(4)
         a = rng.uniform(0.05, 0.95, 12)
         c = rng.uniform(0.05, 2.95, 12)   # floor(c) > 0: the twist phase
         calls = self.count_engine(monkeypatch)
-        got = [F.extend(a, c) for F in pair]
+        got = pair.extend(a, c)
         assert calls == [True]
+        assert got.shape == (2, 12)
         want = [F.extend(a, c) for F in ref]
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -236,8 +310,8 @@ class TestPairEvaluator:
     @pytest.mark.parametrize("s, reflected", CASES)
     def test_interleaved_calls_are_never_stale(self, s, reflected,
                                                monkeypatch):
-        (plus, minus), (ref_plus, ref_minus) = self.pair_and_reference(
-            s, reflected)
+        _, (plus, minus), (ref_plus, ref_minus) = \
+            self.pair_members_reference(s, reflected)
         rng = np.random.default_rng(5)
         X = rng.uniform(0.05, 0.95, (2, 7))
         Y = rng.uniform(0.05, 0.95, (2, 7))
@@ -247,22 +321,26 @@ class TestPairEvaluator:
         again = plus.extend(*X)
         assert first.tobytes() == again.tobytes()
         assert again.tobytes() == ref_plus.extend(*X).tobytes()
-        assert len(calls) == 3 + 2   # three pair passes, two references
+        assert len(calls) == 3 + 2   # three member passes, two references
 
     @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
     def test_single_member_evaluator(self, parity):
-        # l_pm_twisted is one member of its own pair
+        # l_pm_twisted is the row of its pair named by the parity
         rng = np.random.default_rng(6)
         a = rng.uniform(0.05, 0.95, 9)
         c = rng.uniform(-1.95, 1.95, 9)
         got = l_pm_twisted(0.7 + 2.0j, parity).extend(a, c)
         want = self.reference(0.7 + 2.0j, parity).extend(a, c)
         assert got.tobytes() == want.tobytes()
+        row = 0 if parity is Parity.PLUS else 1
+        pair = l_pm_pair_twisted(0.7 + 2.0j).extend(a, c)
+        assert pair[row].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_inputs_and_outputs_mutated_in_place(self, row):
-        members = l_pm_pair_twisted(0.7 + 2.0j)
-        ref = self.reference(0.7 + 2.0j, (Parity.PLUS, Parity.MINUS)[row])
+        parities = (Parity.PLUS, Parity.MINUS)
+        members = [l_pm_twisted(0.7 + 2.0j, p) for p in parities]
+        ref = self.reference(0.7 + 2.0j, parities[row])
         a = np.array([0.21, 0.38, 0.77])
         c = np.array([0.33, 0.64, 0.52])
         out = members[row].core(a, c)
@@ -272,7 +350,65 @@ class TestPairEvaluator:
         other = members[1 - row].core(a, c)
         assert members[row].core(a, c).tobytes() == ref.core(a, c).tobytes()
         assert other.tobytes() == l_pm_many(
-            0.7 + 2.0j, (Parity.PLUS, Parity.MINUS)[1 - row], a, c)[0].tobytes()
+            0.7 + 2.0j, parities[1 - row], a, c)[0].tobytes()
+
+    def test_pair_keeps_no_state(self):
+        # the core closes over s alone: no stored points or values
+        pair = l_pm_pair_twisted(0.7 + 2.0j)
+        cells = [cell.cell_contents for cell in pair.core.__closure__]
+        assert cells == [0.7 + 2.0j]
+
+
+PARITIES = (Parity.PLUS, Parity.MINUS)
+# name -> (pair, its members evaluated on their own): the L-pair at s = 2.5
+# and the R-pair of the basis at s = -1.5
+PAIRS = {
+    "L(2.5)": (lambda: l_pm_pair_twisted(2.5),
+               lambda: [l_pm_twisted(2.5, p) for p in PARITIES]),
+    "R(-1.5)": (lambda: build_eigenspace(-1.5).pairs["R"],
+                lambda: [apply_R(l_pm_twisted(2.5, p), 1) for p in PARITIES]),
+}
+
+
+def _operators(family):
+    """(label, op) with op(F) a point function (a, c) -> values."""
+    if family in ("T", "S", "T_vee", "S_vee"):
+        kind = OperatorKind(family)
+        return [(f"{family}_{m}",
+                 lambda F, m=m: apply_hecke(kind, m, F).extend)
+                for m in range(1, 17)]
+    if family == "R":
+        return [(f"R^{k}", lambda F, k=k: apply_R(F, k).extend)
+                for k in (1, 2, 3)]
+    return [(kind.value,
+             lambda F, kind=kind: lambda a, c: apply_D(kind, F, a, c, 1e-3))
+            for kind in (OperatorKind.D_PLUS, OperatorKind.D_MINUS,
+                         OperatorKind.D_L, OperatorKind.DELTA_L)]
+
+
+class TestPairRows:
+    """Every operator on a pair gives, in row i, the bits of the same
+    operator on member i alone: at one point (the member vector), at 50
+    points, and on an axis-form rectangle grid."""
+
+    @pytest.mark.parametrize("family", ["T", "S", "T_vee", "S_vee", "R", "D"])
+    @pytest.mark.parametrize("case", PAIRS)
+    def test_rows_are_the_members(self, case, family):
+        make_pair, make_members = PAIRS[case]
+        pair, members = make_pair(), make_members()
+        rng = np.random.default_rng(21)
+        grid = rectangle_grid(2, 3, 4)
+        inputs = [(0.37, 0.61),
+                  (rng.uniform(0.05, 0.95, 50), rng.uniform(0.05, 1.95, 50)),
+                  (grid.a, grid.c)]
+        for label, op in _operators(family):
+            for a, c in inputs:
+                got = op(pair)(a, c)
+                assert got.shape == (2,) + np.broadcast_shapes(
+                    np.shape(a), np.shape(c)), label
+                for row, F in enumerate(members):
+                    want = np.asarray(op(F)(a, c), dtype=np.complex128)
+                    assert got[row].tobytes() == want.tobytes(), (label, row)
 
 
 class TestKubert:
